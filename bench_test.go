@@ -10,6 +10,7 @@
 package ccm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -157,7 +158,7 @@ func BenchmarkBackerLC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !checker.VerifyLC(res.Trace).OK {
+		if !verifyLC(res.Trace).OK {
 			b.Fatalf("BACKER violated LC on %v", c)
 		}
 	}
@@ -197,7 +198,7 @@ func BenchmarkBackerSpeedup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !checker.VerifyLC(res.Trace).OK {
+				if !verifyLC(res.Trace).OK {
 					b.Fatal("sweep execution violated LC")
 				}
 				tp := float64(s.Makespan)
@@ -229,14 +230,14 @@ func BenchmarkPostmortem(b *testing.B) {
 	}
 	b.Run("LC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !checker.VerifyLC(traces[i%len(traces)]).OK {
+			if !verifyLC(traces[i%len(traces)]).OK {
 				b.Fatal("last-writer trace must verify")
 			}
 		}
 	})
 	b.Run("SC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !checker.VerifySC(traces[i%len(traces)]).OK {
+			if !verifySC(traces[i%len(traces)]).OK {
 				b.Fatal("last-writer trace must verify")
 			}
 		}
@@ -346,8 +347,8 @@ func BenchmarkLitmus(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if checker.VerifySC(tr).OK != l.AllowSC ||
-				checker.VerifyLC(tr).OK != l.AllowLC ||
+			if verifySC(tr).OK != l.AllowSC ||
+				verifyLC(tr).OK != l.AllowLC ||
 				l.Program.LamportAllows(l.Outcome) != l.AllowSC {
 				b.Fatalf("%s misclassified", l.Name)
 			}
@@ -380,7 +381,7 @@ func BenchmarkCilkFib(b *testing.B) {
 				if got != want {
 					b.Fatalf("fib(10) = %v", got)
 				}
-				if !checker.VerifyLC(res.Backer.Trace).OK {
+				if !verifyLC(res.Backer.Trace).OK {
 					b.Fatal("fib trace not LC")
 				}
 			}
@@ -499,4 +500,15 @@ func randomMemComputation(rng *rand.Rand, n, locs int) *computation.Computation 
 		}
 	}
 	return computation.MustFrom(g, ops, locs)
+}
+
+// verifySC and verifyLC run the trace checkers without governance.
+func verifySC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
+}
+
+func verifyLC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
 }

@@ -375,16 +375,16 @@ func runVerification(cfg config, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "backersim:", err)
 			return 1
 		}
-		if checker.VerifyLC(res.Trace).OK {
+		if _, v, _ := checker.VerifyLCCtx(context.Background(), res.Trace, checker.SearchOptions{}); v.In() {
 			lcOK++
 		} else {
 			caught++
 		}
 		if checker.OrderExplains(res.Trace, res.Schedule.Order) {
 			scOK++
-		} else if r, exhaustive := checker.VerifySCBudget(res.Trace, 500000); r.OK {
+		} else if _, v, _ := checker.VerifySCCtx(context.Background(), res.Trace, checker.SearchOptions{Budget: 500000}); v.In() {
 			scOK++
-		} else if !exhaustive {
+		} else if !v.Decided {
 			scUnknown++
 		}
 		if live != nil {
@@ -433,7 +433,7 @@ func runSweep(rng *rand.Rand, shape string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "backersim:", err)
 				return 1
 			}
-			if !checker.VerifyLC(res.Trace).OK {
+			if _, v, _ := checker.VerifyLCCtx(context.Background(), res.Trace, checker.SearchOptions{}); !v.In() {
 				fmt.Fprintln(stdout, "ERROR: sweep execution violated LC")
 				return 1
 			}

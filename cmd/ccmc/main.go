@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/computation"
-	"repro/internal/expt"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/observer"
@@ -125,7 +124,7 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, 
 	models := memmodel.ModelNames()
 	if model != "" {
 		model = strings.ToUpper(model) // README shows `-model tso`; names are canonical uppercase
-		if _, ok := expt.ModelByName(model); !ok {
+		if _, ok := memmodel.Lookup(model); !ok {
 			fmt.Fprintf(stderr, "ccmc: unknown model %q\n", model)
 			return 1
 		}
@@ -147,18 +146,15 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, 
 
 	anyOut, anyInconclusive := false, false
 	for _, name := range models {
-		// The decision itself is shared with the serving layer
-		// (memmodel.DecideByName), so CLI and service verdicts and
+		// The decision itself is shared with the serving layer (the
+		// registry row's Decide), so CLI and service verdicts and
 		// witnesses come from one code path.
-		d, err := memmodel.DecideByName(ctx, name, comp, ofn, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "ccmc:", err)
-			return 1
-		}
+		row, _ := memmodel.Lookup(name) // validated above
+		d := row.Decide(ctx, comp, ofn, opts)
 		verdict := d.Verdict
 		anyOut = anyOut || verdict.Out()
 		anyInconclusive = anyInconclusive || verdict.Inconclusive()
-		if name == "SC" || name == "TSO" {
+		if row.Search {
 			fmt.Fprintf(stdout, "%-6s %s  (search: %d states, %d memo hits, %d pruned, %d workers)\n",
 				name, verdict, d.Stats.States, d.Stats.MemoHits, d.Stats.Pruned, d.Stats.Workers)
 		} else {
@@ -167,31 +163,20 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, model string, explain, demo, 
 		if !explain {
 			continue
 		}
-		switch name {
-		case "SC":
-			if verdict.In() {
-				fmt.Fprintf(stdout, "     witness sort: %s\n", named.RenderOrder(d.Order))
+		switch {
+		case row.Search && verdict.In():
+			fmt.Fprintf(stdout, "     witness %s: %s\n", row.OrderName, named.RenderOrder(d.Order))
+		case d.LocOrders != nil:
+			for l, s := range d.LocOrders {
+				fmt.Fprintf(stdout, "     witness sort for location %d: %s\n", l, named.RenderOrder(s))
 			}
-		case "TSO":
-			if verdict.In() {
-				fmt.Fprintf(stdout, "     witness memory order: %s\n", named.RenderOrder(d.Order))
-			}
-		case "RA", "CAUSAL":
-			// Polynomial yes/no deciders; no witness artifact to print.
-		case "LC":
-			if verdict.In() {
-				for l, s := range d.LocOrders {
-					fmt.Fprintf(stdout, "     witness sort for location %d: %s\n", l, named.RenderOrder(s))
-				}
-			} else if verdict.Out() {
-				if e := memmodel.ExplainLC(comp, ofn); e != nil {
-					fmt.Fprintf(stdout, "     %s\n", e)
-				}
-			}
-		default:
-			if v := d.Violation; v != nil {
-				fmt.Fprintf(stdout, "     violating triple at location %d: %s ≺ %s ≺ %s\n",
-					v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
+		case d.Violation != nil:
+			v := d.Violation
+			fmt.Fprintf(stdout, "     violating triple at location %d: %s ≺ %s ≺ %s\n",
+				v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
+		case verdict.Out() && row.ExplainOut != nil:
+			if e := row.ExplainOut(comp, ofn); e != "" {
+				fmt.Fprintf(stdout, "     %s\n", e)
 			}
 		}
 	}

@@ -158,40 +158,30 @@ func printReport(rep *fleet.Report, pair string, explain bool, stdout, stderr io
 		if !explain {
 			continue
 		}
-		switch o.Model {
-		case "SC":
-			if o.Verdict.In() {
-				fmt.Fprintf(stdout, "     witness sort: %s\n", o.Witness)
-				if !o.WitnessCanonical {
-					fmt.Fprintln(stderr, "fleetctl: degraded: SC witness found above a lost shard; a lower-root witness may exist")
-				}
+		row, _ := memmodel.Lookup(o.Model)
+		switch {
+		case row.Search && o.Verdict.In():
+			fmt.Fprintf(stdout, "     witness %s: %s\n", row.OrderName, o.Witness)
+			if !o.WitnessCanonical {
+				fmt.Fprintf(stderr, "fleetctl: degraded: %s witness found above a lost shard; a lower-root witness may exist\n", o.Model)
 			}
-		case "TSO":
-			if o.Verdict.In() {
-				fmt.Fprintf(stdout, "     witness memory order: %s\n", o.Witness)
+		case len(o.LocWitnesses) > 0:
+			for l, s := range o.LocWitnesses {
+				fmt.Fprintf(stdout, "     witness sort for location %d: %s\n", l, s)
 			}
-		case "RA", "CAUSAL":
-			// Polynomial yes/no deciders; no witness artifact to print.
-		case "LC":
-			if o.Verdict.In() {
-				for l, s := range o.LocWitnesses {
-					fmt.Fprintf(stdout, "     witness sort for location %d: %s\n", l, s)
-				}
-			} else if o.Verdict.Out() {
-				// The LC explanation is a polynomial local computation;
-				// no reason to burden the fleet with it.
-				if named, ofn, err := observer.ParsePairString(pair); err == nil {
-					if e := memmodel.ExplainLC(named.Comp, ofn); e != nil {
-						fmt.Fprintf(stdout, "     %s\n", e)
-					}
-				}
+		case o.Violation != "":
+			// The wire form is "loc: u ≺ v ≺ w"; re-render it in the
+			// ccmc explain spelling.
+			if loc, triple, ok := strings.Cut(o.Violation, ": "); ok {
+				fmt.Fprintf(stdout, "     violating triple at location %s: %s\n", loc, triple)
 			}
-		default:
-			if o.Violation != "" {
-				// The wire form is "loc: u ≺ v ≺ w"; re-render it in the
-				// ccmc explain spelling.
-				if loc, triple, ok := strings.Cut(o.Violation, ": "); ok {
-					fmt.Fprintf(stdout, "     violating triple at location %s: %s\n", loc, triple)
+		case o.Verdict.Out() && row.ExplainOut != nil:
+			// Out-verdict proofs the decision does not carry are
+			// polynomial local computations; no reason to burden the
+			// fleet with them.
+			if named, ofn, err := observer.ParsePairString(pair); err == nil {
+				if e := row.ExplainOut(named.Comp, ofn); e != "" {
+					fmt.Fprintf(stdout, "     %s\n", e)
 				}
 			}
 		}

@@ -43,6 +43,7 @@ import (
 	"os"
 
 	"repro/internal/expt"
+	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
 
@@ -130,11 +131,12 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 
 	switch {
 	case findtrap != "":
-		m, ok := expt.ModelByName(findtrap)
+		r, ok := memmodel.Lookup(findtrap)
 		if !ok {
 			fmt.Fprintf(stderr, "lattice: unknown model %q\n", findtrap)
 			return 2
 		}
+		m := r.Model
 		return bracket("findtrap "+m.Name(), func() (string, bool) {
 			trap, found := expt.FindTrap(m, maxNodes, locs)
 			if !found {
@@ -145,21 +147,23 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 				m.Name(), trap.Pair.C, trap.Pair.O, trap.Op), false
 		})
 	case star != "":
-		m, ok := expt.ModelByName(star)
+		r, ok := memmodel.Lookup(star)
 		if !ok {
 			fmt.Fprintf(stderr, "lattice: unknown model %q\n", star)
 			return 2
 		}
+		m := r.Model
 		return bracket("star "+m.Name(), func() (string, bool) {
 			rep := expt.RunStar(m, maxNodes, locs)
 			return rep.String(), rep.OK()
 		})
 	case props != "":
-		m, ok := expt.ModelByName(props)
+		r, ok := memmodel.Lookup(props)
 		if !ok {
 			fmt.Fprintf(stderr, "lattice: unknown model %q\n", props)
 			return 2
 		}
+		m := r.Model
 		return bracket("props "+m.Name(), func() (string, bool) {
 			var rep expt.PropertyReport
 			if reduce {

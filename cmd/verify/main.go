@@ -28,8 +28,8 @@
 // A pair mode mirrors the ccmc CLI and the ccmd daemon's POST
 // /v1/check: given a committed (computation, observer) pair in the
 // .ccm format instead of a trace, decide membership under every
-// registered model (or one, with -model) through the same
-// memmodel.DecideByName front door the other frontends use:
+// registered model (or one, with -model) through the same model
+// registry (memmodel.DecideByName) the other frontends use:
 //
 //	verify -pair testdata/litmus/sb.ccm
 //	verify -pair -model TSO testdata/litmus/sb.ccm
@@ -233,8 +233,8 @@ func runChecks(fs *flag.FlagSet, rec obs.Recorder, budget, maxStates int64, time
 }
 
 // pairChecks decides a committed (computation, observer) pair under
-// the registered models — the same memmodel.DecideByName path behind
-// ccmc, POST /v1/check, and fleetctl, so verify's verdicts cannot
+// the registered models — the same registry deciders behind ccmc,
+// POST /v1/check, and fleetctl, so verify's verdicts cannot
 // drift from theirs (the litmus conformance suite pins all four to one
 // golden file).
 func pairChecks(rec obs.Recorder, file, model string, budget, maxStates int64, timeout time.Duration,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/backer"
-	"repro/internal/checker"
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/memmodel"
@@ -73,14 +72,14 @@ func TestDifferentialCheckerVsModels(t *testing.T) {
 		}
 		o := observer.FromLastWriter(c, order)
 		tr := trace.FromObserver(c, o)
-		scRes := checker.VerifySC(tr)
+		scRes := verifySC(tr)
 		if !scRes.OK {
 			t.Fatalf("SC observer's trace rejected by VerifySC: %v", c)
 		}
 		if !memmodel.SC.Contains(c, scRes.Observer) {
 			t.Fatal("VerifySC witness not in SC")
 		}
-		lcRes := checker.VerifyLC(tr)
+		lcRes := verifyLC(tr)
 		if !lcRes.OK || !memmodel.LC.Contains(c, lcRes.Observer) {
 			t.Fatal("VerifyLC inconsistency")
 		}
@@ -108,7 +107,7 @@ func TestDifferentialBackerOnlineOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !checker.VerifyLC(off.Trace).OK {
+		if !verifyLC(off.Trace).OK {
 			t.Fatalf("offline BACKER violated LC on %v", c)
 		}
 		order, err := c.Dag().TopoSort()

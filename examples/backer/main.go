@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -45,22 +46,22 @@ func main() {
 		check(err)
 		res, err := backer.Run(s, nil)
 		check(err)
-		lc := checker.VerifyLC(res.Trace)
+		_, lc, _ := checker.VerifyLCCtx(context.Background(), res.Trace, checker.SearchOptions{})
 		// SC verification is NP-complete; try the execution order as a
 		// witness first, then a budgeted search.
 		sc := "true"
 		if !checker.OrderExplains(res.Trace, s.Order) {
-			if r, exhaustive := checker.VerifySCBudget(res.Trace, 200000); r.OK {
-				sc = "true"
-			} else if exhaustive {
+			_, v, _ := checker.VerifySCCtx(context.Background(), res.Trace, checker.SearchOptions{Budget: 200000})
+			switch {
+			case v.Out():
 				sc = "false"
-			} else {
+			case !v.In():
 				sc = "unknown"
 			}
 		}
 		fmt.Printf("P=%d: makespan=%3d steals=%2d flushes=%3d fetches=%3d  LC=%v SC=%s\n",
-			P, s.Makespan, s.Steals, res.Stats.Flushes, res.Stats.Fetches, lc.OK, sc)
-		if !lc.OK {
+			P, s.Makespan, s.Steals, res.Stats.Flushes, res.Stats.Fetches, lc.In(), sc)
+		if !lc.In() {
 			fmt.Println("ERROR: healthy BACKER must maintain location consistency")
 			return
 		}
@@ -76,7 +77,7 @@ func main() {
 		faults := &backer.Faults{SkipReconcile: 0.6, SkipFlush: 0.6, Rng: rng}
 		res, err := backer.Run(s, faults)
 		check(err)
-		if !checker.VerifyLC(res.Trace).OK {
+		if _, v, _ := checker.VerifyLCCtx(context.Background(), res.Trace, checker.SearchOptions{}); !v.In() {
 			detected++
 		}
 	}

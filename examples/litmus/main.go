@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/checker"
@@ -23,8 +24,9 @@ func main() {
 			fmt.Println("error:", err)
 			return
 		}
-		sc := checker.VerifySC(tr).OK
-		lc := checker.VerifyLC(tr).OK
+		_, scV, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{})
+		_, lcV, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+		sc, lc := scV.In(), lcV.In()
 		lamport := l.Program.LamportAllows(l.Outcome)
 		status := ""
 		if sc != l.AllowSC || lc != l.AllowLC || lamport != sc {

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/checker"
 	"repro/internal/memmodel"
 	"repro/internal/observer"
 	"repro/internal/paperfig"
@@ -102,10 +101,10 @@ func TestTestdataTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		if got := checker.VerifySC(nt.Trace).OK; got != tc.allowSC {
+		if got := verifySC(nt.Trace).OK; got != tc.allowSC {
 			t.Errorf("%s: SC = %v, want %v", tc.file, got, tc.allowSC)
 		}
-		if got := checker.VerifyLC(nt.Trace).OK; got != tc.allowLC {
+		if got := verifyLC(nt.Trace).OK; got != tc.allowLC {
 			t.Errorf("%s: LC = %v, want %v", tc.file, got, tc.allowLC)
 		}
 	}

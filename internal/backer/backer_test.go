@@ -1,6 +1,7 @@
 package backer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,7 @@ func TestSingleProcessorIsSequential(t *testing.T) {
 	if res.Stats.CrossEdges != 0 || res.Stats.Flushes != 0 {
 		t.Fatalf("sequential run should not cross or flush: %+v", res.Stats)
 	}
-	if !checker.VerifySC(res.Trace).OK {
+	if !verifySC(res.Trace).OK {
 		t.Fatal("sequential BACKER trace must even be SC")
 	}
 }
@@ -144,7 +145,7 @@ func TestFaultInjectionLosesWrite(t *testing.T) {
 	if res.ReadObserved[r] != w {
 		t.Fatalf("healthy run observed %v", res.ReadObserved[r])
 	}
-	if !checker.VerifyLC(res.Trace).OK {
+	if !verifyLC(res.Trace).OK {
 		t.Fatal("healthy trace must be LC")
 	}
 	// Broken protocol (flush skipped): r reads its stale ⊥ copy, which
@@ -157,7 +158,7 @@ func TestFaultInjectionLosesWrite(t *testing.T) {
 	if bad.ReadObserved[r] != observer.Bottom {
 		t.Fatalf("faulty run observed %v, want stale ⊥", bad.ReadObserved[r])
 	}
-	if checker.VerifyLC(bad.Trace).OK {
+	if verifyLC(bad.Trace).OK {
 		t.Fatal("checker must catch the lost write")
 	}
 }
@@ -177,7 +178,7 @@ func TestBackerMaintainsLC(t *testing.T) {
 		if err := res.Trace.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if v := checker.VerifyLC(res.Trace); !v.OK {
+		if v := verifyLC(res.Trace); !v.OK {
 			t.Fatalf("BACKER violated LC on %v (P=%d, schedule %v)", c, P, res.Schedule.Order)
 		}
 	}
@@ -215,10 +216,10 @@ func TestBackerNotSC(t *testing.T) {
 	if res.ReadObserved[r1] != observer.Bottom || res.ReadObserved[r2] != observer.Bottom {
 		t.Fatalf("observed %v, want both ⊥", res.ReadObserved)
 	}
-	if checker.VerifySC(res.Trace).OK {
+	if verifySC(res.Trace).OK {
 		t.Fatal("Dekker BACKER trace must not be SC")
 	}
-	if !checker.VerifyLC(res.Trace).OK {
+	if !verifyLC(res.Trace).OK {
 		t.Fatal("Dekker BACKER trace must be LC")
 	}
 }
@@ -238,7 +239,7 @@ func TestQuickFaultsAreDetectable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !checker.VerifyLC(res.Trace).OK {
+		if !verifyLC(res.Trace).OK {
 			return false // healthy run must always verify
 		}
 		return true
@@ -261,7 +262,7 @@ func TestQuickFaultsAreDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !checker.VerifyLC(res.Trace).OK {
+		if !verifyLC(res.Trace).OK {
 			detected++
 		}
 	}
@@ -307,4 +308,15 @@ func TestStatsAccounting(t *testing.T) {
 	if len(res.ReadObserved) != reads {
 		t.Fatalf("observed %d of %d reads", len(res.ReadObserved), reads)
 	}
+}
+
+// verifySC and verifyLC run the trace checkers without governance.
+func verifySC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
+}
+
+func verifyLC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
 }

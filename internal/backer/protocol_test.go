@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/checker"
 	"repro/internal/dag"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -104,7 +103,7 @@ func TestHealthyRunCoversEveryCrossingEdge(t *testing.T) {
 					P, trial, res.Stats.CrossEdges, len(rec.reconciles))
 			}
 
-			if v := checker.VerifyLC(res.Trace); !v.OK {
+			if v := verifyLC(res.Trace); !v.OK {
 				t.Fatalf("P=%d trial %d: healthy BACKER run violates LC", P, trial)
 			}
 		}

@@ -54,7 +54,7 @@ func VerdictText(v Verdict) string {
 type Result struct {
 	OK bool
 	// Observer is a full observer function explaining the trace, when
-	// the checker constructs one (VerifyModel does; the serialization
+	// the checker constructs one (VerifyModelCtx does; the serialization
 	// checkers reconstruct it from their witness sorts).
 	Observer *observer.Observer
 }
@@ -139,41 +139,19 @@ func searchConstrained(ctx context.Context, t *trace.Trace, cons constraints, lo
 	return search.RunContext(ctx, spec, opts)
 }
 
-// VerifySC decides whether the trace is explainable under sequential
-// consistency: some single topological sort's last-writer semantics
-// produce exactly the observed read values. On success the witness
-// observer is the last-writer observer of the sort. The decision is
-// exact but worst-case exponential (the problem is NP-complete [GK94]);
-// use VerifySCBudget on large traces.
-func VerifySC(t *trace.Trace) Result {
-	res, _ := VerifySCBudget(t, 0)
-	return res
-}
-
-// VerifySCBudget is VerifySC with a cap on explored search states
-// (0 = unlimited). The second result reports whether the search was
-// exhaustive: if false, the trace may or may not be SC.
-func VerifySCBudget(t *trace.Trace, budget int) (Result, bool) {
-	res, exhausted, _ := VerifySCOpts(t, SearchOptions{Budget: int64(budget)})
-	return res, exhausted
-}
-
-// VerifySCOpts is VerifySC with engine options (parallel workers,
-// state budget), also reporting aggregate search statistics. The
+// VerifySCCtx decides whether the trace is explainable under
+// sequential consistency: some single topological sort's last-writer
+// semantics produce exactly the observed read values. The verdict is
+// typed: cancellation or deadline expiry stops the searches promptly
+// and yields an inconclusive verdict (as does exhausting opts.Budget),
+// Out means the exhaustive search excluded every explaining
+// serialization, and In comes with the witness observer — the
+// last-writer observer of the sort. The decision is exact but
+// worst-case exponential (the problem is NP-complete [GK94]). The
 // per-location serializability precheck (a polynomial-size relaxation
 // of SC) shares the options; each constrained location costs at most
 // one budget's worth of states, so the total work is bounded by
 // (locations + 1) × Budget.
-func VerifySCOpts(t *trace.Trace, opts SearchOptions) (Result, bool, SearchStats) {
-	res, verdict, stats := VerifySCCtx(context.Background(), t, opts)
-	return res, verdict.Decided, stats
-}
-
-// VerifySCCtx is VerifySC under a context with a typed verdict:
-// cancellation or deadline expiry stops the searches promptly and
-// yields an inconclusive verdict (as does exhausting opts.Budget), Out
-// means the exhaustive search excluded every explaining serialization,
-// and In comes with the witness observer.
 func VerifySCCtx(ctx context.Context, t *trace.Trace, opts SearchOptions) (Result, Verdict, SearchStats) {
 	var stats SearchStats
 	if err := t.Validate(); err != nil {
@@ -238,25 +216,11 @@ func OrderExplains(t *trace.Trace, order []dag.Node) bool {
 	return true
 }
 
-// VerifyLC decides whether the trace is explainable under location
+// VerifyLCCtx decides whether the trace is explainable under location
 // consistency: each location independently admits a serialization
 // matching the observed values. On success the witness observer is
-// assembled from the per-location sorts.
-func VerifyLC(t *trace.Trace) Result {
-	res, _, _ := VerifyLCOpts(t, SearchOptions{})
-	return res
-}
-
-// VerifyLCOpts is VerifyLC with engine options, also reporting whether
-// every per-location search was exhaustive (relevant only with a
-// budget) and aggregate search statistics.
-func VerifyLCOpts(t *trace.Trace, opts SearchOptions) (Result, bool, SearchStats) {
-	res, verdict, stats := VerifyLCCtx(context.Background(), t, opts)
-	return res, verdict.Decided, stats
-}
-
-// VerifyLCCtx is VerifyLC under a context with a typed verdict; see
-// VerifySCCtx for the verdict semantics.
+// assembled from the per-location sorts. See VerifySCCtx for the
+// verdict semantics.
 func VerifyLCCtx(ctx context.Context, t *trace.Trace, opts SearchOptions) (Result, Verdict, SearchStats) {
 	var stats SearchStats
 	if err := t.Validate(); err != nil {
@@ -306,23 +270,15 @@ func serializeLocChoices(ctx context.Context, c *computation.Computation, l comp
 	return search.RunContext(ctx, spec, opts)
 }
 
-// VerifyModel decides explainability under an arbitrary model by
+// VerifyModelCtx decides explainability under an arbitrary model by
 // enumerating observer functions compatible with the trace (reads are
 // pinned to their value-derived candidates; all other entries range
 // over the full candidate sets) via search.Assignments. Exponential in
 // the number of unconstrained entries — intended for the dag-consistent
-// models on moderate computations. maxTries caps the enumeration
-// (0 = unlimited); if the cap is hit without success, the second
-// result is false.
-func VerifyModel(m memmodel.Model, t *trace.Trace, maxTries int) (Result, bool) {
-	res, verdict := VerifyModelCtx(context.Background(), m, t, maxTries)
-	return res, verdict.Decided
-}
-
-// VerifyModelCtx is VerifyModel under a context with a typed verdict:
-// ctx is polled between candidate observers, so cancellation or
-// deadline expiry stops the enumeration promptly with an inconclusive
-// verdict, as does hitting maxTries.
+// models on moderate computations. ctx is polled between candidate
+// observers, so cancellation or deadline expiry stops the enumeration
+// promptly with an inconclusive verdict, as does hitting maxTries
+// (0 = unlimited).
 func VerifyModelCtx(ctx context.Context, m memmodel.Model, t *trace.Trace, maxTries int) (Result, Verdict) {
 	if err := t.Validate(); err != nil {
 		return Result{}, search.VerdictOut()

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func TestVerifySCSimpleChain(t *testing.T) {
 	o := observer.New(c)
 	o.Set(0, b, a)
 	tr := trace.FromObserver(c, o)
-	res := VerifySC(tr)
+	res := verifySC(tr)
 	if !res.OK {
 		t.Fatal("W->R trace must be SC")
 	}
@@ -33,7 +34,7 @@ func TestVerifySCSimpleChain(t *testing.T) {
 	}
 	// A stale read is not explainable at all (no candidate).
 	tr.ReadVal[b] = trace.Undefined
-	if VerifySC(tr).OK || VerifyLC(tr).OK {
+	if verifySC(tr).OK || verifyLC(tr).OK {
 		t.Fatal("stale read past a write must be rejected")
 	}
 }
@@ -41,10 +42,10 @@ func TestVerifySCSimpleChain(t *testing.T) {
 func TestVerifyDekkerTrace(t *testing.T) {
 	fx := paperfig.Dekker()
 	tr := trace.FromObserver(fx.Comp, fx.Obs)
-	if VerifySC(tr).OK {
+	if verifySC(tr).OK {
 		t.Fatal("Dekker trace must not verify under SC")
 	}
-	res := VerifyLC(tr)
+	res := verifyLC(tr)
 	if !res.OK {
 		t.Fatal("Dekker trace must verify under LC")
 	}
@@ -65,19 +66,19 @@ func TestVerifyModelFigure4(t *testing.T) {
 	fx := paperfig.Figure4()
 	tr := trace.FromObserver(fx.Prefix, fx.PrefixObs)
 	// The crossing trace is explainable under NN but not under LC.
-	res, exhausted := VerifyModel(memmodel.NN, tr, 0)
+	res, exhausted := verifyModel(memmodel.NN, tr, 0)
 	if !res.OK || !exhausted {
 		t.Fatal("crossing trace must verify under NN")
 	}
 	if !memmodel.NN.Contains(fx.Prefix, res.Observer) {
 		t.Fatal("witness not in NN")
 	}
-	if VerifyLC(tr).OK {
+	if verifyLC(tr).OK {
 		t.Fatal("crossing trace must not verify under LC")
 	}
-	lcRes, exhausted := VerifyModel(memmodel.LC, tr, 0)
+	lcRes, exhausted := verifyModel(memmodel.LC, tr, 0)
 	if lcRes.OK || !exhausted {
-		t.Fatal("VerifyModel(LC) must agree with VerifyLC")
+		t.Fatal("verifyModel(LC) must agree with VerifyLC")
 	}
 }
 
@@ -100,7 +101,7 @@ func TestVerifyModelCap(t *testing.T) {
 		tr.ReadVal[u] = 5
 	}
 	never := memmodel.Func("NEVER", func(*computation.Computation, *observer.Observer) bool { return false })
-	res, exhausted := VerifyModel(never, tr, 1)
+	res, exhausted := verifyModel(never, tr, 1)
 	if res.OK {
 		t.Fatal("NEVER verified")
 	}
@@ -135,14 +136,34 @@ func TestVerifySCBudgetNonExhaustive(t *testing.T) {
 		t.Fatal("budget=1 claimed exhaustive search on a 12-node instance")
 	}
 	// Unlimited budget decides it.
-	if full := VerifySC(tr); !full.OK {
+	if full := verifySC(tr); !full.OK {
 		t.Fatal("consistent trace rejected")
 	}
 }
 
-// indirection so the test reads naturally.
+// checkerVerifySCBudget runs the SC checker under a state budget,
+// reporting whether the search was exhaustive.
 func checkerVerifySCBudget(tr *trace.Trace, budget int) (Result, bool) {
-	return VerifySCBudget(tr, budget)
+	res, v, _ := VerifySCCtx(context.Background(), tr, SearchOptions{Budget: int64(budget)})
+	return res, v.Decided
+}
+
+// verifySC, verifyLC and verifyModel run the checkers without
+// governance; verifyModel also reports whether the enumeration was
+// exhaustive.
+func verifySC(tr *trace.Trace) Result {
+	res, _, _ := VerifySCCtx(context.Background(), tr, SearchOptions{})
+	return res
+}
+
+func verifyLC(tr *trace.Trace) Result {
+	res, _, _ := VerifyLCCtx(context.Background(), tr, SearchOptions{})
+	return res
+}
+
+func verifyModel(m memmodel.Model, tr *trace.Trace, maxTries int) (Result, bool) {
+	res, v := VerifyModelCtx(context.Background(), m, tr, maxTries)
+	return res, v.Decided
 }
 
 func TestVerifyLCAmbiguousValues(t *testing.T) {
@@ -159,12 +180,12 @@ func TestVerifyLCAmbiguousValues(t *testing.T) {
 	tr.WriteVal[w1] = 7
 	tr.WriteVal[w2] = 7
 	tr.ReadVal[r] = 7
-	if !VerifyLC(tr).OK {
+	if !verifyLC(tr).OK {
 		t.Fatal("ambiguous but consistent trace rejected")
 	}
 	// Make it unsatisfiable: the read wants a value neither write has.
 	tr.ReadVal[r] = 9
-	if VerifyLC(tr).OK {
+	if verifyLC(tr).OK {
 		t.Fatal("unsatisfiable trace accepted")
 	}
 }
@@ -198,18 +219,18 @@ func TestVerifyInvalidTrace(t *testing.T) {
 	c.AddNode(computation.W(0))
 	tr := trace.New(c)
 	tr.WriteVal[0] = trace.Undefined
-	if VerifySC(tr).OK || VerifyLC(tr).OK {
+	if verifySC(tr).OK || verifyLC(tr).OK {
 		t.Fatal("invalid trace verified")
 	}
-	if res, _ := VerifyModel(memmodel.NN, tr, 0); res.OK {
-		t.Fatal("invalid trace verified by VerifyModel")
+	if res, _ := verifyModel(memmodel.NN, tr, 0); res.OK {
+		t.Fatal("invalid trace verified by VerifyModelCtx")
 	}
 }
 
 func TestVerifyEmptyTrace(t *testing.T) {
 	c := computation.New(2)
 	tr := trace.New(c)
-	if !VerifySC(tr).OK || !VerifyLC(tr).OK {
+	if !verifySC(tr).OK || !verifyLC(tr).OK {
 		t.Fatal("empty trace must verify")
 	}
 }
@@ -238,7 +259,7 @@ func TestQuickCheckerSoundAndComplete(t *testing.T) {
 		// SC-generated trace: must verify under both SC and LC.
 		o := observer.FromLastWriter(c, order)
 		tr := trace.FromObserver(c, o)
-		if !VerifySC(tr).OK || !VerifyLC(tr).OK {
+		if !verifySC(tr).OK || !verifyLC(tr).OK {
 			return false
 		}
 		// Tamper with one read, if there is one: replace its value with
@@ -246,7 +267,7 @@ func TestQuickCheckerSoundAndComplete(t *testing.T) {
 		for u := 0; u < n; u++ {
 			if c.Op(dag.Node(u)).Kind == computation.Read {
 				tr.ReadVal[u] = 1 << 40
-				if VerifySC(tr).OK || VerifyLC(tr).OK {
+				if verifySC(tr).OK || verifyLC(tr).OK {
 					return false
 				}
 				break
@@ -325,7 +346,7 @@ func TestQuickVerifySCAgainstBruteForce(t *testing.T) {
 			}
 			return true
 		})
-		return VerifySC(tr).OK == brute
+		return verifySC(tr).OK == brute
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package cilk
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -157,7 +158,7 @@ func TestFibCorrectOnBacker(t *testing.T) {
 			if got != fibValue(n) {
 				t.Fatalf("fib(%d) on P=%d = %v, want %v", n, P, got, fibValue(n))
 			}
-			if !checker.VerifyLC(res.Backer.Trace).OK {
+			if !verifyLC(res.Backer.Trace).OK {
 				t.Fatalf("fib(%d) trace not LC", n)
 			}
 		}
@@ -186,7 +187,7 @@ func TestFibBreaksWithoutCoherence(t *testing.T) {
 				}
 			}
 		}
-		if !checker.VerifyLC(res.Backer.Trace).OK {
+		if !verifyLC(res.Backer.Trace).OK {
 			flagged++
 		}
 	}
@@ -258,7 +259,7 @@ func TestQuickRandomProgramsWellFormed(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return checker.VerifyLC(res.Backer.Trace).OK
+		return verifyLC(res.Backer.Trace).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -279,7 +280,7 @@ func TestFibObserverInLC(t *testing.T) {
 	// Reconstruct the full observer from the backer result rows is not
 	// exposed; instead verify via the trace-level checker and via
 	// memmodel on the read-pinned completion.
-	v := checker.VerifyLC(res.Backer.Trace)
+	v := verifyLC(res.Backer.Trace)
 	if !v.OK {
 		t.Fatal("fib trace not LC")
 	}
@@ -290,4 +291,15 @@ func TestFibObserverInLC(t *testing.T) {
 		t.Fatal("witness observer not in LC")
 	}
 	_ = observer.Bottom
+}
+
+// verifySC and verifyLC run the trace checkers without governance.
+func verifySC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
+}
+
+func verifyLC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
 }

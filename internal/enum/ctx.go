@@ -13,70 +13,31 @@ import (
 	"repro/internal/search"
 )
 
-// This file adds governed variants of the universe sweeps: the same
-// enumeration under a context.Context, stopping promptly on
-// cancellation or deadline expiry and reporting ctx.Err() instead of a
-// silently truncated count. The sweeps are exponential in the node
-// bound, so a caller that exposes them (experiments, CLIs) needs a way
-// to abandon a size that turned out too big.
+// This file holds the governed parallel compare: the universe sweep
+// under a context.Context, stopping promptly on cancellation or
+// deadline expiry and reporting ctx.Err() instead of a silently
+// truncated count. The sweeps are exponential in the node bound, so a
+// caller that exposes them (experiments, CLIs) needs a way to abandon a
+// size that turned out too big.
 
 // ctxPollMask throttles ctx polling to every 256 pairs: an Err() call
 // is cheap but not free, and pair visits are nanoseconds each.
 const ctxPollMask = 255
 
-// EachPairCtx is EachPair under a context: enumeration stops early
-// when ctx is cancelled (polled every few hundred pairs) and the error
-// reports why. The count visited before the stop is returned either way.
-func EachPairCtx(ctx context.Context, maxNodes, numLocs int, fn func(c *computation.Computation, o *observer.Observer) bool) (int, error) {
-	var err error
-	tick := 0
-	total := EachPair(maxNodes, numLocs, func(c *computation.Computation, o *observer.Observer) bool {
-		tick++
-		if tick&ctxPollMask == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
-		return fn(c, o)
-	})
-	return total, err
-}
-
-// CompareCtx is Compare under a context. On cancellation the partial
-// Relation accumulated so far is returned along with ctx.Err(); it
-// covers only a prefix of the universe and proves nothing.
-func CompareCtx(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs int) (Relation, error) {
-	var r Relation
-	_, err := EachPairCtx(ctx, maxNodes, numLocs, func(c *computation.Computation, o *observer.Observer) bool {
-		compareInto(&r, a, b, c, o, 1, pairRank{})
-		return true
-	})
-	return r, err
-}
-
-// CompareParallelCtx is CompareParallel under a context: every worker
-// polls ctx and the sweep returns promptly (no leaked goroutines) with
-// ctx.Err() when cancelled. The merged partial Relation is returned
-// either way.
-func CompareParallelCtx(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int) (Relation, error) {
-	return compareParallel(ctx, a, b, maxNodes, numLocs, workers, nil)
-}
-
-// CompareParallelObs is CompareParallelCtx with observability: rec
-// receives a RunStart carrying live gauges (pairs visited as States,
-// shards finished as Done), one WorkerDone per shard, and a RunEnd
-// whose Str summarizes the relation. A nil rec is exactly
-// CompareParallelCtx.
+// CompareParallelObs is Compare distributed over `workers` goroutines
+// (defaults to GOMAXPROCS when workers <= 0) under a context, with
+// observability. The result — witnesses included — is identical to
+// Compare for every worker count. Every worker polls ctx and the sweep
+// returns promptly (no leaked goroutines) with ctx.Err() when
+// cancelled; the merged partial Relation is returned either way. rec
+// (nil = off) receives a RunStart carrying live gauges (pairs visited
+// as States, shards finished as Done), one WorkerDone per shard, and a
+// RunEnd whose Str summarizes the relation. Sharded accumulators merge
+// in shard order (see mergeShards for why order matters), and gauge
+// publication rides the existing ctx-poll tick, so an attached
+// recorder costs one atomic add per ctxPollMask+1 pairs and nothing
+// per pair.
 func CompareParallelObs(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) (Relation, error) {
-	return compareParallel(ctx, a, b, maxNodes, numLocs, workers, rec)
-}
-
-// compareParallel is the shared body of every parallel compare: a
-// sharded sweep with per-worker accumulators merged in shard order
-// (see mergeShards for why order matters). Gauge publication rides the
-// existing ctx-poll tick, so an attached recorder costs one atomic add
-// per ctxPollMask+1 pairs and nothing per pair.
-func compareParallel(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) (Relation, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -157,7 +118,7 @@ func relationOutcome(r Relation, err error) string {
 // compareInto classifies one pair against both models, accumulating
 // into r with the pair's class weight (1 for unreduced sweeps, the
 // orbit size for reduced ones) — the shared body of Compare,
-// CompareCtx, and the parallel and reduced variants. rank tags a
+// CompareReduced and CompareParallelObs. rank tags a
 // newly-recorded witness with its global enumeration position for the
 // shard merge; serial sweeps may pass the zero rank.
 func compareInto(r *Relation, a, b memmodel.Model, c *computation.Computation, o *observer.Observer, weight int, rank pairRank) {

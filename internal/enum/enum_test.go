@@ -97,14 +97,36 @@ func TestEachPairValidAndCounted(t *testing.T) {
 }
 
 func TestModelPairsAndStronger(t *testing.T) {
-	scPairs := ModelPairs(memmodel.SC, 2, 1)
-	lcPairs := ModelPairs(memmodel.LC, 2, 1)
+	scPairs := modelPairs(memmodel.SC, 2, 1)
+	lcPairs := modelPairs(memmodel.LC, 2, 1)
 	if len(scPairs) == 0 || len(lcPairs) < len(scPairs) {
 		t.Fatalf("|SC| = %d, |LC| = %d", len(scPairs), len(lcPairs))
 	}
-	if !memmodel.Stronger(memmodel.SC, memmodel.LC, lcPairs) {
+	if !stronger(memmodel.SC, memmodel.LC, lcPairs) {
 		t.Fatal("SC must be stronger than LC")
 	}
+}
+
+// modelPairs materializes every pair of the universe belonging to m.
+func modelPairs(m memmodel.Model, maxNodes, numLocs int) []memmodel.Pair {
+	var out []memmodel.Pair
+	EachPair(maxNodes, numLocs, func(c *computation.Computation, o *observer.Observer) bool {
+		if m.Contains(c, o) {
+			out = append(out, memmodel.Pair{C: c, O: o.Clone()})
+		}
+		return true
+	})
+	return out
+}
+
+// stronger reports whether a ⊆ b over the given pairs (Definition 4).
+func stronger(a, b memmodel.Model, universe []memmodel.Pair) bool {
+	for _, p := range universe {
+		if a.Contains(p.C, p.O) && !b.Contains(p.C, p.O) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCompareRelations(t *testing.T) {

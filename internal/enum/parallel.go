@@ -1,7 +1,6 @@
 package enum
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -115,14 +114,6 @@ func mergeShards(results []Relation) Relation {
 		}
 	}
 	return merged
-}
-
-// CompareParallel is Compare distributed over `workers` goroutines
-// (defaults to GOMAXPROCS when workers <= 0). The result — witnesses
-// included — is identical to Compare for every worker count.
-func CompareParallel(a, b memmodel.Model, maxNodes, numLocs, workers int) Relation {
-	r, _ := compareParallel(context.Background(), a, b, maxNodes, numLocs, workers, nil)
-	return r
 }
 
 // CensusParallel counts, for each model, the universe pairs it

@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/computation"
@@ -12,7 +13,7 @@ import (
 func TestCompareParallelMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
 		seq := Compare(memmodel.LC, memmodel.NN, 3, 1)
-		par := CompareParallel(memmodel.LC, memmodel.NN, 3, 1, workers)
+		par := compareParallel(memmodel.LC, memmodel.NN, 3, 1, workers)
 		if par.AOnly != seq.AOnly || par.BOnly != seq.BOnly || par.Both != seq.Both {
 			t.Fatalf("workers=%d: parallel %+v != sequential %+v", workers, par, seq)
 		}
@@ -20,7 +21,7 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 }
 
 func TestCompareParallelWitnesses(t *testing.T) {
-	par := CompareParallel(memmodel.SC, memmodel.LC, 2, 2, 3)
+	par := compareParallel(memmodel.SC, memmodel.LC, 2, 2, 3)
 	if !par.StrictlyStronger() {
 		t.Fatalf("SC vs LC: %+v", par)
 	}
@@ -32,6 +33,12 @@ func TestCompareParallelWitnesses(t *testing.T) {
 		!memmodel.LC.Contains(par.WitnessBOnly.C, par.WitnessBOnly.O) {
 		t.Fatal("witness misclassified")
 	}
+}
+
+// compareParallel runs the parallel compare without governance.
+func compareParallel(a, b memmodel.Model, maxNodes, numLocs, workers int) Relation {
+	r, _ := CompareParallelObs(context.Background(), a, b, maxNodes, numLocs, workers, nil)
+	return r
 }
 
 // witnessKey fingerprints a witness pair for cross-run comparison.
@@ -56,7 +63,7 @@ func TestCompareParallelWitnessDeterminism(t *testing.T) {
 			// NW vs WN on the n=4, L=1 universe is incomparable (112 vs
 			// 6786 one-sided pairs), so both witnesses exist and the
 			// one-sided pairs are spread across many shards.
-			r := CompareParallel(memmodel.NW, memmodel.WN, 4, 1, workers)
+			r := compareParallel(memmodel.NW, memmodel.WN, 4, 1, workers)
 			if r.WitnessAOnly == nil || r.WitnessBOnly == nil {
 				t.Fatalf("workers=%d: NW vs WN should be incomparable with witnesses: %+v", workers, r)
 			}

@@ -24,9 +24,9 @@ import (
 	"repro/internal/observer"
 )
 
-// PatternEdge selects two membership-pattern bits to relate, as
-// indices into memmodel.PatternModels() (= ModelNames order).
-type PatternEdge struct{ A, B int }
+// PatternEdge selects two membership-pattern bits (memmodel Row.Bit)
+// to relate.
+type PatternEdge struct{ A, B uint16 }
 
 // PatternSweep is the result of one reduced pattern sweep.
 type PatternSweep struct {
@@ -58,19 +58,13 @@ type edgeWitness struct {
 // maxNodes nodes into its Figure-1 membership pattern, deciding only
 // canonical representatives (orbit-weighted), sharded over workers
 // (<= 0 means GOMAXPROCS). Counts and witnesses are identical to
-// running the unreduced CompareParallel once per edge, for every
+// running the unreduced CompareParallelObs once per edge, for every
 // worker count. The recorder (nil = off) sees a RunStart with live
 // gauges (decided pairs as States), one WorkerDone per shard, and a
 // RunEnd; WorkerDone and RunEnd stats carry the symmetry gauges
 // (Orbits = universe computations covered, SymmetrySkipped =
 // computations never materialized).
 func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, numLocs, workers int, rec obs.Recorder) (PatternSweep, error) {
-	numModels := len(memmodel.ModelNames())
-	for _, e := range edges {
-		if e.A < 0 || e.A >= numModels || e.B < 0 || e.B >= numModels {
-			panic(fmt.Sprintf("enum: pattern edge %+v out of range", e))
-		}
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -126,8 +120,8 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 						sr.pairs += orbit
 						for ei := range edges {
 							ew := &sr.wits[ei]
-							inA := p&(1<<uint(edges[ei].A)) != 0
-							inB := p&(1<<uint(edges[ei].B)) != 0
+							inA := p&edges[ei].A != 0
+							inB := p&edges[ei].B != 0
 							switch {
 							case inA && !inB && ew.aPair == nil:
 								ew.aPair = &memmodel.Pair{C: c, O: o.Clone()}
@@ -183,8 +177,8 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 	for ei, e := range edges {
 		r := &out.Edges[ei]
 		for p, n := range out.Counts {
-			inA := p&(1<<uint(e.A)) != 0
-			inB := p&(1<<uint(e.B)) != 0
+			inA := uint16(p)&e.A != 0
+			inB := uint16(p)&e.B != 0
 			switch {
 			case inA && inB:
 				r.Both += int(n)

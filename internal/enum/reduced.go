@@ -19,15 +19,12 @@ package enum
 // witnesses to the unreduced sweeps, not merely isomorphic ones.
 
 import (
-	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/memmodel"
-	"repro/internal/obs"
 	"repro/internal/observer"
 )
 
@@ -136,101 +133,6 @@ func CompareReduced(a, b memmodel.Model, maxNodes, numLocs int) Relation {
 	return r
 }
 
-// CompareReducedParallel is CompareReduced sharded over workers
-// goroutines (<= 0 means GOMAXPROCS). Counts and witnesses are
-// identical to CompareReduced for every worker count: the merge keeps
-// the witness with the smallest global enumeration rank.
-func CompareReducedParallel(a, b memmodel.Model, maxNodes, numLocs, workers int) Relation {
-	r, _ := compareReducedParallel(context.Background(), a, b, maxNodes, numLocs, workers, nil)
-	return r
-}
-
-// CompareReducedParallelObs is CompareReducedParallel under a context
-// with observability: the recorder sees a RunStart with live gauges
-// (representatives decided as States, members covered as Done is not
-// tracked here — shards finished ride Done), one WorkerDone per shard,
-// and a RunEnd summarizing the relation. A nil rec disables all event
-// work.
-func CompareReducedParallelObs(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) (Relation, error) {
-	return compareReducedParallel(ctx, a, b, maxNodes, numLocs, workers, rec)
-}
-
-// compareReducedParallel mirrors compareParallel over the reduced
-// enumeration.
-func compareReducedParallel(ctx context.Context, a, b memmodel.Model, maxNodes, numLocs, workers int, rec obs.Recorder) (Relation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var live *obs.Counters
-	if rec != nil {
-		live = &obs.Counters{}
-		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: workers, Live: live})
-	}
-	var cancelled atomic.Bool
-	var totComps, totRepComps atomic.Int64
-	results := make([]Relation, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			r := &results[shard]
-			tick, published := 0, 0
-			var comps, repComps, pubSkip int64
-			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, dagIdx, labelIdx uint64) bool {
-					repComps++
-					comps += orbit
-					rank := pairRank{set: true, n: int32(n), dag: dagIdx, label: labelIdx}
-					observer.Enumerate(c, func(o *observer.Observer) bool {
-						tick++
-						if tick&ctxPollMask == 0 {
-							if ctx.Err() != nil {
-								cancelled.Store(true)
-							}
-							if live != nil {
-								live.States.Add(int64(tick - published))
-								published = tick
-								if skip := comps - repComps; skip != pubSkip {
-									live.Skipped.Add(skip - pubSkip)
-									pubSkip = skip
-								}
-							}
-						}
-						if cancelled.Load() {
-							return false
-						}
-						compareInto(r, a, b, c, o, int(orbit), rank)
-						return true
-					})
-					return !cancelled.Load()
-				})
-				if cancelled.Load() {
-					break
-				}
-			}
-			totComps.Add(comps)
-			totRepComps.Add(repComps)
-			if rec != nil {
-				live.States.Add(int64(tick - published))
-				live.Skipped.Add(comps - repComps - pubSkip)
-				live.Done.Add(1)
-				obs.Emit(rec, obs.Event{Kind: obs.WorkerDone, Worker: shard,
-					Stats: &obs.Stats{States: int64(tick), Orbits: comps,
-						SymmetrySkipped: comps - repComps, Workers: workers}})
-			}
-		}(w)
-	}
-	wg.Wait()
-	merged := mergeShards(results)
-	if rec != nil {
-		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Str: relationOutcome(merged, ctx.Err()),
-			Stats: &obs.Stats{States: live.States.Load(), Orbits: totComps.Load(),
-				SymmetrySkipped: totComps.Load() - totRepComps.Load(), Workers: workers}})
-	}
-	return merged, ctx.Err()
-}
-
 // CensusReducedParallel counts, for each isomorphism-invariant model,
 // the universe pairs it contains, plus the universe pair total,
 // deciding only canonical representatives. Results equal
@@ -278,34 +180,4 @@ func CensusReducedParallel(models []memmodel.Model, maxNodes, numLocs, workers i
 		}
 	}
 	return out, total
-}
-
-// CountPairsReducedParallel counts all (computation, observer) pairs
-// of the universe from canonical representatives only.
-func CountPairsReducedParallel(maxNodes, numLocs, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			var total int64
-			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, _, _ uint64) bool {
-					total += orbit * int64(observer.Count(c, 0))
-					return true
-				})
-			}
-			results[shard] = total
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, t := range results {
-		total += t
-	}
-	return int(total)
 }

@@ -19,28 +19,6 @@ import (
 	"repro/internal/observer"
 )
 
-// Models returns the decidable models: the six of Figure 1 strongest
-// first, then the hardware/language models (TSO, RA, CAUSAL) appended
-// so existing table positions stay stable. The order matches
-// memmodel.ModelNames.
-func Models() []memmodel.Model {
-	return []memmodel.Model{
-		memmodel.SC, memmodel.LC, memmodel.NN,
-		memmodel.NW, memmodel.WN, memmodel.WW,
-		memmodel.TSO, memmodel.RA, memmodel.CAUSAL,
-	}
-}
-
-// ModelByName resolves one of the Models by name.
-func ModelByName(name string) (memmodel.Model, bool) {
-	for _, m := range Models() {
-		if m.Name() == name {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 // Edge is one claimed relation of the lattice (Figure 1 plus the
 // extended edges for TSO/RA/CAUSAL).
 type Edge struct {
@@ -176,14 +154,7 @@ func RunLatticeObs(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeRepo
 	rep := LatticeReport{MaxNodes: maxNodes, NumLocs: numLocs}
 	rep.Pairs = enum.CountPairsParallel(maxNodes, numLocs, workers)
 	for _, e := range LatticeEdges() {
-		a, ok := ModelByName(e.A)
-		if !ok {
-			panic("expt: unknown model " + e.A)
-		}
-		b, ok := ModelByName(e.B)
-		if !ok {
-			panic("expt: unknown model " + e.B)
-		}
+		a, b := mustLookup(e.A).Model, mustLookup(e.B).Model
 		locs := numLocs
 		if e.A == "SC" && e.B == "LC" && locs < 2 {
 			locs = 2
@@ -221,19 +192,10 @@ const sclcAuxMaxNodes = 4
 // carve-out: when maxNodes exceeds sclcAuxMaxNodes the SC/LC edge's
 // auxiliary two-location universe is capped there (see the constant).
 func RunLatticeReduced(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeReport {
-	names := memmodel.ModelNames()
-	bit := func(name string) int {
-		for i, n := range names {
-			if n == name {
-				return i
-			}
-		}
-		panic("expt: unknown model " + name)
-	}
 	edges := LatticeEdges()
 	pes := make([]enum.PatternEdge, len(edges))
 	for i, e := range edges {
-		pes[i] = enum.PatternEdge{A: bit(e.A), B: bit(e.B)}
+		pes[i] = enum.PatternEdge{A: mustLookup(e.A).Bit, B: mustLookup(e.B).Bit}
 	}
 	obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: "pattern sweep"})
 	main, _ := enum.PatternSweepParallel(context.Background(), pes, maxNodes, numLocs, workers,
@@ -251,7 +213,7 @@ func RunLatticeReduced(maxNodes, numLocs, workers int, rec obs.Recorder) Lattice
 			label := e.A + " vs " + e.B
 			obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: label})
 			side, _ := enum.PatternSweepParallel(context.Background(),
-				[]enum.PatternEdge{{A: bit(e.A), B: bit(e.B)}}, aux, 2, workers,
+				[]enum.PatternEdge{pes[i]}, aux, 2, workers,
 				obs.WithRun(rec, label))
 			r = side.Edges[0]
 		}
@@ -546,18 +508,16 @@ func MembershipCensus(maxNodes, numLocs int) string {
 // over workers (<= 0 means GOMAXPROCS). Counts are order-independent,
 // so the table is identical for every worker count.
 func MembershipCensusParallel(maxNodes, numLocs, workers int) string {
-	models := Models()
-	counts, total := enum.CensusParallel(models, maxNodes, numLocs, workers)
-	return censusTable(models, counts, total, maxNodes, numLocs)
+	counts, total := enum.CensusParallel(registryModels(), maxNodes, numLocs, workers)
+	return censusTable(counts, total, maxNodes, numLocs)
 }
 
 // MembershipCensusReducedParallel is MembershipCensusParallel deciding
 // only canonical representatives and weighting each by its orbit size;
 // the rendered table is identical to the unreduced one.
 func MembershipCensusReducedParallel(maxNodes, numLocs, workers int) string {
-	models := Models()
-	counts, total := enum.CensusReducedParallel(models, maxNodes, numLocs, workers)
-	return censusTable(models, counts, total, maxNodes, numLocs)
+	counts, total := enum.CensusReducedParallel(registryModels(), maxNodes, numLocs, workers)
+	return censusTable(counts, total, maxNodes, numLocs)
 }
 
 // MembershipCensusReducedObs is the reduced census as an observable,
@@ -568,30 +528,50 @@ func MembershipCensusReducedParallel(maxNodes, numLocs, workers int) string {
 // ctx's error when the sweep was cut short (the partial table must
 // then be discarded).
 func MembershipCensusReducedObs(ctx context.Context, maxNodes, numLocs, workers int, rec obs.Recorder) (string, error) {
-	models := memmodel.PatternModels()
 	sweep, err := enum.PatternSweepParallel(ctx, nil, maxNodes, numLocs, workers, obs.WithRun(rec, "census"))
 	if err != nil {
 		return "", err
 	}
-	counts := make([]int, len(models))
+	reg := memmodel.Registry()
+	counts := make([]int, len(reg))
 	for p, n := range sweep.Counts {
-		for i := range models {
-			if p&(1<<uint(i)) != 0 {
+		for i, r := range reg {
+			if uint16(p)&r.Bit != 0 {
 				counts[i] += int(n)
 			}
 		}
 	}
-	return censusTable(models, counts, int(sweep.Pairs), maxNodes, numLocs), nil
+	return censusTable(counts, int(sweep.Pairs), maxNodes, numLocs), nil
 }
 
-func censusTable(models []memmodel.Model, counts []int, total, maxNodes, numLocs int) string {
+// mustLookup resolves a model name this package hard-codes (a lattice
+// edge endpoint); an unknown name is a programming error.
+func mustLookup(name string) memmodel.Row {
+	r, ok := memmodel.Lookup(name)
+	if !ok {
+		panic("expt: unknown model " + name)
+	}
+	return r
+}
+
+// registryModels lists the registered models in registry order.
+func registryModels() []memmodel.Model {
+	var models []memmodel.Model
+	for _, r := range memmodel.Registry() {
+		models = append(models, r.Model)
+	}
+	return models
+}
+
+// censusTable renders per-model counts, indexed in registry order.
+func censusTable(counts []int, total, maxNodes, numLocs int) string {
 	type row struct {
 		name  string
 		count int
 	}
-	rows := make([]row, len(models))
-	for i, m := range models {
-		rows[i] = row{m.Name(), counts[i]}
+	rows := make([]row, len(counts))
+	for i, name := range memmodel.ModelNames() {
+		rows[i] = row{name, counts[i]}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].count < rows[j].count })
 	var b strings.Builder

@@ -10,14 +10,24 @@ import (
 	"repro/internal/observer"
 )
 
+// TestModelByName: every model name the experiments hard-code — the
+// lattice edge endpoints and the witness claims — resolves through the
+// registry to the model of that name, and an unknown name does not.
 func TestModelByName(t *testing.T) {
-	for _, name := range []string{"SC", "LC", "NN", "NW", "WN", "WW"} {
-		m, ok := ModelByName(name)
-		if !ok || m.Name() != name {
-			t.Fatalf("ModelByName(%q) = %v, %v", name, m, ok)
+	var names []string
+	for _, e := range LatticeEdges() {
+		names = append(names, e.A, e.B)
+	}
+	for _, c := range WitnessClaims() {
+		names = append(names, c.In, c.Out)
+	}
+	for _, name := range names {
+		r, ok := memmodel.Lookup(name)
+		if !ok || r.Model.Name() != name {
+			t.Fatalf("Lookup(%q) = %v, %v", name, r.Model, ok)
 		}
 	}
-	if _, ok := ModelByName("XX"); ok {
+	if _, ok := memmodel.Lookup("XX"); ok {
 		t.Fatal("unknown name resolved")
 	}
 }

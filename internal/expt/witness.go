@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/memmodel"
 	"repro/internal/observer"
 )
 
@@ -102,11 +103,11 @@ func (r WitnessReport) String() string {
 func CheckWitnesses(dir string) (WitnessReport, error) {
 	rep := WitnessReport{Dir: dir}
 	for _, claim := range WitnessClaims() {
-		in, ok := ModelByName(claim.In)
+		in, ok := memmodel.Lookup(claim.In)
 		if !ok {
 			return rep, fmt.Errorf("expt: witness %s names unknown model %s", claim.File, claim.In)
 		}
-		out, ok := ModelByName(claim.Out)
+		out, ok := memmodel.Lookup(claim.Out)
 		if !ok {
 			return rep, fmt.Errorf("expt: witness %s names unknown model %s", claim.File, claim.Out)
 		}
@@ -120,10 +121,10 @@ func CheckWitnesses(dir string) (WitnessReport, error) {
 			return rep, fmt.Errorf("expt: witness fixture %s: %w", claim.File, err)
 		}
 		res := WitnessResult{Claim: claim, OK: true}
-		if !in.Contains(named.Comp, o) {
+		if !in.Model.Contains(named.Comp, o) {
 			res.OK = false
 			res.Detail = fmt.Sprintf("pair ∉ %s", claim.In)
-		} else if out.Contains(named.Comp, o) {
+		} else if out.Model.Contains(named.Comp, o) {
 			res.OK = false
 			res.Detail = fmt.Sprintf("pair ∈ %s", claim.Out)
 		}

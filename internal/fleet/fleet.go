@@ -199,16 +199,11 @@ func (co *Coordinator) Check(ctx context.Context, pair string, models []string) 
 	if named.Comp.NumNodes() == 0 {
 		return nil, errors.New("fleet: pair has no nodes")
 	}
-	known := memmodel.ModelNames()
 	if len(models) == 0 {
-		models = known
+		models = memmodel.ModelNames()
 	}
 	for _, m := range models {
-		ok := false
-		for _, k := range known {
-			ok = ok || k == m
-		}
-		if !ok {
+		if _, ok := memmodel.Lookup(m); !ok {
 			return nil, fmt.Errorf("fleet: unknown model %q", m)
 		}
 	}

@@ -104,7 +104,7 @@ func TestAmnesiacNotInNW(t *testing.T) {
 	if NN.Contains(c, o) {
 		t.Fatal("... and NN")
 	}
-	v := ExplainQDag(PredNW, c, o)
+	v := explainQDag(PredNW, c, o)
 	if v == nil || v.U != observer.Bottom || v.V != w || v.W != nn {
 		t.Fatalf("violation = %+v, want (⊥, W, N)", v)
 	}

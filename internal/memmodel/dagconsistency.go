@@ -89,7 +89,8 @@ func (m qdagModel) Contains(c *computation.Computation, o *observer.Observer) bo
 	if o.Validate(c) != nil {
 		return false
 	}
-	return m.findViolation(c, o) == nil
+	v, _ := m.findViolation(context.Background(), c, o)
+	return v == nil
 }
 
 // Violation records a failed instance of Condition 20.1, for error
@@ -99,22 +100,12 @@ type Violation struct {
 	U, V, W dag.Node // u ≺ v ≺ w, u may be Bottom
 }
 
-// ExplainQDag returns a witness triple violating Condition 20.1 for the
-// given predicate, or nil if (c, o) is in the model. The observer must
-// be valid for c.
-func ExplainQDag(p Predicate, c *computation.Computation, o *observer.Observer) *Violation {
-	return qdagModel{pred: p}.findViolation(c, o)
-}
-
-func (m qdagModel) findViolation(c *computation.Computation, o *observer.Observer) *Violation {
-	v, _ := m.findViolationCtx(context.Background(), c, o)
-	return v
-}
-
-// findViolationCtx is findViolation under a context, polled once per
-// (location, node) outer iteration. A non-nil error means the scan was
-// stopped before covering every triple.
-func (m qdagModel) findViolationCtx(ctx context.Context, c *computation.Computation, o *observer.Observer) (*Violation, error) {
+// findViolation returns a witness triple violating Condition 20.1 for
+// the model's predicate, or nil if (c, o) is in the model; o must be
+// valid for c. ctx is polled once per (location, node) outer
+// iteration, and a non-nil error means the scan was stopped before
+// covering every triple.
+func (m qdagModel) findViolation(ctx context.Context, c *computation.Computation, o *observer.Observer) (*Violation, error) {
 	cl := c.Closure()
 	n := c.NumNodes()
 	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {

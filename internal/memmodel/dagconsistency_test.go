@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,23 +14,11 @@ import (
 
 func modelByName(t *testing.T, name string) Model {
 	t.Helper()
-	switch name {
-	case "SC":
-		return SC
-	case "LC":
-		return LC
-	case "NN":
-		return NN
-	case "NW":
-		return NW
-	case "WN":
-		return WN
-	case "WW":
-		return WW
-	default:
+	r, ok := Lookup(name)
+	if !ok {
 		t.Fatalf("unknown model %q", name)
-		return nil
 	}
+	return r.Model
 }
 
 // checkFixture machine-checks the memberships a paper figure claims.
@@ -62,7 +51,7 @@ func TestFigure3Memberships(t *testing.T) {
 
 func TestExplainQDagWitness(t *testing.T) {
 	fx := paperfig.Figure3()
-	v := ExplainQDag(PredNN, fx.Comp, fx.Obs)
+	v := explainQDag(PredNN, fx.Comp, fx.Obs)
 	if v == nil {
 		t.Fatal("expected an NN violation on Figure 3")
 	}
@@ -70,7 +59,7 @@ func TestExplainQDagWitness(t *testing.T) {
 	if v.U != 1 || v.V != 2 || v.W != 3 {
 		t.Fatalf("violation = %+v, want (1, 2, 3)", v)
 	}
-	if ExplainQDag(PredWN, fx.Comp, fx.Obs) != nil {
+	if explainQDag(PredWN, fx.Comp, fx.Obs) != nil {
 		t.Fatal("Figure 3 must satisfy WN")
 	}
 }
@@ -94,7 +83,7 @@ func TestBottomTripleViolation(t *testing.T) {
 	if NN.Contains(c, o) {
 		t.Fatal("NN must catch the ⊥-triple violation")
 	}
-	viol := ExplainQDag(PredNN, c, o)
+	viol := explainQDag(PredNN, c, o)
 	if viol == nil || viol.U != observer.Bottom {
 		t.Fatalf("expected a ⊥-rooted violation, got %+v", viol)
 	}
@@ -200,4 +189,10 @@ func TestQuickTheorem22LCSubsetNN(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// explainQDag is the violating triple QDagDecide reports, or nil.
+func explainQDag(p Predicate, c *computation.Computation, o *observer.Observer) *Violation {
+	v, _ := QDagDecide(context.Background(), p, c, o)
+	return v
 }

@@ -13,11 +13,13 @@ import (
 )
 
 // This file is the governed front door to the deciders: every model
-// membership question gets a context-aware variant returning a typed
+// membership question has one context-aware decider returning a typed
 // three-valued Verdict instead of a bare bool, so callers can tell "not
 // in the model" apart from "the search was stopped by a deadline,
-// budget, or cancellation before it could decide". The legacy
-// bool-returning APIs remain and delegate with context.Background().
+// budget, or cancellation before it could decide". The bool-returning
+// Model.Contains methods delegate with context.Background(). The
+// registry below lists every model once; each frontend reaches the
+// deciders through it.
 
 // Verdict is the three-valued decision outcome (In / Out /
 // Inconclusive with a machine-readable StopReason).
@@ -35,7 +37,7 @@ func SCDecide(ctx context.Context, c *computation.Computation, o *observer.Obser
 	if o.Validate(c) != nil {
 		return nil, search.VerdictOut(), SearchStats{}
 	}
-	res := searchLastWriterCtx(ctx, c, o, allLocs(c), opts)
+	res := searchLastWriter(ctx, c, o, allLocs(c), opts)
 	return res.Order, res.Verdict(), res.Stats
 }
 
@@ -72,7 +74,7 @@ func QDagDecide(ctx context.Context, p Predicate, c *computation.Computation, o 
 	if o.Validate(c) != nil {
 		return nil, search.VerdictOut()
 	}
-	v, err := qdagModel{pred: p}.findViolationCtx(ctx, c, o)
+	v, err := qdagModel{pred: p}.findViolation(ctx, c, o)
 	switch {
 	case err != nil:
 		return nil, search.VerdictInconclusive(search.ContextStopReason(err))
@@ -81,31 +83,6 @@ func QDagDecide(ctx context.Context, p Predicate, c *computation.Computation, o 
 	default:
 		return nil, search.VerdictIn()
 	}
-}
-
-// ModelNames lists the decidable models: the Figure 1 lattice
-// strongest first — the order the ccmc CLI reports and the serving
-// layer defaults to — followed by the hardware/language models (TSO,
-// RA, CAUSAL) appended after the paper's six so existing report
-// positions and pattern bits stay stable.
-func ModelNames() []string {
-	return []string{"SC", "LC", "NN", "NW", "WN", "WW", "TSO", "RA", "CAUSAL"}
-}
-
-// PredicateByName resolves a quantified-dag model name to its
-// Condition 20.1 predicate.
-func PredicateByName(name string) (Predicate, bool) {
-	switch name {
-	case "NN":
-		return PredNN, true
-	case "NW":
-		return PredNW, true
-	case "WN":
-		return PredWN, true
-	case "WW":
-		return PredWW, true
-	}
-	return Predicate{}, false
 }
 
 // Decision is the structured outcome of one model-membership question:
@@ -131,53 +108,130 @@ type Decision struct {
 	Violation *Violation
 }
 
-// DecideByName answers (c, o) ∈ model for one of the ModelNames under
-// ctx, bracketing the decision in run events labeled with the model
-// name on opts.Recorder (the SC and TSO searches emit their own engine
-// events; the polynomial deciders get an explicit RunStart/RunEnd pair
-// so recorded sessions still see one run per decision). An unknown
-// model name is an error naming the registered models.
-func DecideByName(ctx context.Context, model string, c *computation.Computation, o *observer.Observer, opts SearchOptions) (Decision, error) {
-	d := Decision{Model: model}
-	rec := opts.Recorder
-	switch model {
-	case "SC":
-		scOpts := opts
-		scOpts.Recorder = obs.WithRun(rec, "SC")
-		d.Order, d.Verdict, d.Stats = SCDecide(ctx, c, o, scOpts)
-	case "LC":
-		r := obs.WithRun(rec, "LC")
-		obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-		d.LocOrders, d.Verdict = LCDecide(ctx, c, o)
-		obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: d.Verdict.String()})
-	case "TSO":
-		tsoOpts := opts
-		tsoOpts.Recorder = obs.WithRun(rec, "TSO")
-		d.Order, d.Verdict, d.Stats = TSODecide(ctx, c, o, tsoOpts)
-	case "RA":
-		r := obs.WithRun(rec, "RA")
-		obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-		d.Verdict = RADecide(ctx, c, o)
-		obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: d.Verdict.String()})
-	case "CAUSAL":
-		r := obs.WithRun(rec, "CAUSAL")
-		obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-		d.Verdict = CausalDecide(ctx, c, o)
-		obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: d.Verdict.String()})
-	default:
-		p, ok := PredicateByName(model)
-		if !ok {
-			return Decision{}, fmt.Errorf("memmodel: unknown model %q (known models: %s)", model, strings.Join(ModelNames(), ", "))
-		}
-		r := obs.WithRun(rec, model)
-		obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-		d.Violation, d.Verdict = QDagDecide(ctx, p, c, o)
-		obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: d.Verdict.String()})
-	}
-	return d, nil
+// Row is one model of the registry: the model's set semantics, its
+// context-aware decider, and the facts a frontend needs to render a
+// Decision without knowing which model produced it.
+type Row struct {
+	// Model is the membership predicate; Model.Name() is the registry
+	// name every frontend accepts.
+	Model Model
+	// Bit is the model's membership-pattern bit (PatternDecider).
+	Bit uint16
+	// Search reports whether the decider runs the search engine: its
+	// decisions carry engine Stats and, on In, a witnessing Order.
+	Search bool
+	// OrderName names what Decision.Order holds on an In verdict
+	// ("sort" for SC, "memory order" for TSO); empty when the decider
+	// yields no order.
+	OrderName string
+	// ExplainOut, when set, derives a proof of an Out verdict that the
+	// Decision itself does not carry (LC's write-order cycle). It
+	// returns "" when it finds none.
+	ExplainOut func(c *computation.Computation, o *observer.Observer) string
+
+	decide func(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision
 }
 
-// searchLastWriterCtx is searchLastWriterOpts under a context.
-func searchLastWriterCtx(ctx context.Context, c *computation.Computation, o *observer.Observer, locs []computation.Loc, opts SearchOptions) search.Result {
-	return search.RunContext(ctx, lastWriterSpec(c, o, locs), opts)
+// registry is the one ordered list of decidable models: the Figure 1
+// lattice strongest first — the order the ccmc CLI reports and the
+// serving layer defaults to — followed by the hardware/language models
+// (TSO, RA, CAUSAL) appended after the paper's six so existing report
+// positions and pattern bits stay stable. Row i holds pattern bit 1<<i.
+// A new model is one more row.
+var registry = [...]Row{
+	{Model: SC, Bit: PatternSC, Search: true, OrderName: "sort",
+		decide: func(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) (d Decision) {
+			d.Order, d.Verdict, d.Stats = SCDecide(ctx, c, o, opts)
+			return d
+		}},
+	{Model: LC, Bit: PatternLC, ExplainOut: explainLC,
+		decide: func(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) (d Decision) {
+			d.LocOrders, d.Verdict = LCDecide(ctx, c, o)
+			return d
+		}},
+	{Model: NN, Bit: PatternNN, decide: decideQDag(PredNN)},
+	{Model: NW, Bit: PatternNW, decide: decideQDag(PredNW)},
+	{Model: WN, Bit: PatternWN, decide: decideQDag(PredWN)},
+	{Model: WW, Bit: PatternWW, decide: decideQDag(PredWW)},
+	{Model: TSO, Bit: PatternTSO, Search: true, OrderName: "memory order",
+		decide: func(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) (d Decision) {
+			d.Order, d.Verdict, d.Stats = TSODecide(ctx, c, o, opts)
+			return d
+		}},
+	{Model: RA, Bit: PatternRA,
+		decide: func(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
+			return Decision{Verdict: RADecide(ctx, c, o)}
+		}},
+	{Model: CAUSAL, Bit: PatternCAUSAL,
+		decide: func(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) Decision {
+			return Decision{Verdict: CausalDecide(ctx, c, o)}
+		}},
+}
+
+func decideQDag(p Predicate) func(context.Context, *computation.Computation, *observer.Observer, SearchOptions) Decision {
+	return func(ctx context.Context, c *computation.Computation, o *observer.Observer, _ SearchOptions) (d Decision) {
+		d.Violation, d.Verdict = QDagDecide(ctx, p, c, o)
+		return d
+	}
+}
+
+func explainLC(c *computation.Computation, o *observer.Observer) string {
+	if e := ExplainLC(c, o); e != nil {
+		return e.String()
+	}
+	return ""
+}
+
+// Registry returns the registered models in registry order.
+func Registry() []Row { return append([]Row(nil), registry[:]...) }
+
+// Lookup resolves a registered model by name (case-sensitive; names
+// are canonical uppercase).
+func Lookup(name string) (Row, bool) {
+	for _, r := range registry {
+		if r.Model.Name() == name {
+			return r, true
+		}
+	}
+	return Row{}, false
+}
+
+// ModelNames lists the registered model names in registry order.
+func ModelNames() []string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.Model.Name()
+	}
+	return names
+}
+
+// Decide answers (c, o) ∈ r.Model under ctx, bracketing the decision
+// in run events labeled with the model name on opts.Recorder: the
+// engine-backed deciders emit their own engine events, and the
+// polynomial ones get an explicit RunStart/RunEnd pair so recorded
+// sessions still see one run per decision.
+func (r Row) Decide(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) Decision {
+	name := r.Model.Name()
+	rec := obs.WithRun(opts.Recorder, name)
+	var d Decision
+	if r.Search {
+		opts.Recorder = rec
+		d = r.decide(ctx, c, o, opts)
+	} else {
+		obs.Emit(rec, obs.Event{Kind: obs.RunStart, Total: 1})
+		d = r.decide(ctx, c, o, opts)
+		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Str: d.Verdict.String()})
+	}
+	d.Model = name
+	return d
+}
+
+// DecideByName is Lookup followed by Row.Decide. An unknown model name
+// is an error naming the registered models.
+func DecideByName(ctx context.Context, model string, c *computation.Computation, o *observer.Observer, opts SearchOptions) (Decision, error) {
+	r, ok := Lookup(model)
+	if !ok {
+		return Decision{}, fmt.Errorf("memmodel: unknown model %q (known models: %s)", model, strings.Join(ModelNames(), ", "))
+	}
+	return r.Decide(ctx, c, o, opts), nil
 }

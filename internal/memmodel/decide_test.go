@@ -5,54 +5,90 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/computation"
+	"repro/internal/enum"
 	"repro/internal/memmodel"
+	"repro/internal/observer"
 	"repro/internal/paperfig"
 )
 
-// TestDecideByNameMatchesModels checks the structured decision front
-// door against the Model interface on the Figure 2 pair: every name
-// decides, the verdicts agree with Contains, and the explanations are
-// populated exactly when the verdict calls for them.
+// TestDecideByNameMatchesModels checks every registry row against the
+// model's other two formulations over the whole universe of
+// computations with at most 3 nodes on 1 and 2 locations: the
+// DecideByName verdict, the row's Model.Contains, and the row's
+// PatternDecider bit must agree on every pair. A row wired to the
+// wrong decider or the wrong bit fails here. The explanation artifacts
+// must match the verdict: an Order exactly for In verdicts of
+// engine-backed rows, per-location sorts exactly for LC In, and a
+// violating triple only for Out verdicts.
 func TestDecideByNameMatchesModels(t *testing.T) {
-	fx := paperfig.Figure2()
-	models := map[string]memmodel.Model{
-		"SC": memmodel.SC, "LC": memmodel.LC, "NN": memmodel.NN,
-		"NW": memmodel.NW, "WN": memmodel.WN, "WW": memmodel.WW,
-		"TSO": memmodel.TSO, "RA": memmodel.RA, "CAUSAL": memmodel.CAUSAL,
+	rows := memmodel.Registry()
+	names := memmodel.ModelNames()
+	if len(rows) != len(names) {
+		t.Fatalf("registry has %d rows, ModelNames %d", len(rows), len(names))
 	}
-	for _, name := range memmodel.ModelNames() {
-		d, err := memmodel.DecideByName(context.Background(), name, fx.Comp, fx.Obs, memmodel.SearchOptions{})
-		if err != nil {
-			t.Fatalf("DecideByName(%s): %v", name, err)
+	// Models that coincide on the small universe (RA and CAUSAL below
+	// 5 nodes) cannot tell their bits apart by verdicts alone, so the
+	// bit layout is pinned directly: row i owns bit 1<<i.
+	for i, r := range rows {
+		if r.Model.Name() != names[i] || r.Bit != 1<<i {
+			t.Fatalf("row %d is %s with bit %#x; want %s with bit %#x", i, r.Model.Name(), r.Bit, names[i], 1<<i)
 		}
-		if d.Model != name {
-			t.Errorf("%s: decision labeled %q", name, d.Model)
+	}
+	ctx := context.Background()
+	pd := memmodel.NewPatternDecider()
+	for _, locs := range []int{1, 2} {
+		pairs := 0
+		enum.EachComputationUpTo(3, locs, func(c *computation.Computation) bool {
+			pd.Reset(c)
+			observer.Enumerate(c, func(o *observer.Observer) bool {
+				pairs++
+				p := pd.Pattern(o)
+				for _, r := range rows {
+					name := r.Model.Name()
+					d, err := memmodel.DecideByName(ctx, name, c, o, memmodel.SearchOptions{})
+					if err != nil {
+						t.Fatalf("DecideByName(%s): %v", name, err)
+					}
+					if d.Model != name {
+						t.Fatalf("%s: decision labeled %q", name, d.Model)
+					}
+					if !d.Verdict.Decided {
+						t.Fatalf("%s: ungoverned decision came back inconclusive: %v", name, d.Verdict)
+					}
+					in, bit := r.Model.Contains(c, o), p&r.Bit != 0
+					if d.Verdict.In() != in || in != bit {
+						t.Fatalf("%s on %v / %v: DecideByName %v, Contains %v, pattern bit %v",
+							name, c, o, d.Verdict, in, bit)
+					}
+					checkDecisionShape(t, r, c, d)
+				}
+				return true
+			})
+			return true
+		})
+		if pairs == 0 {
+			t.Fatalf("locs=%d: no pairs enumerated", locs)
 		}
-		if !d.Verdict.Decided {
-			t.Fatalf("%s: ungoverned decision came back inconclusive: %v", name, d.Verdict)
-		}
-		if want := models[name].Contains(fx.Comp, fx.Obs); d.Verdict.In() != want {
-			t.Errorf("%s: verdict %v, Contains = %v", name, d.Verdict, want)
-		}
-		switch name {
-		case "SC", "TSO":
-			if d.Verdict.In() != (d.Order != nil) {
-				t.Errorf("%s: witness order present = %v, verdict %v", name, d.Order != nil, d.Verdict)
-			}
-		case "LC":
-			if d.Verdict.In() != (d.LocOrders != nil) {
-				t.Errorf("LC: witness sorts present = %v, verdict %v", d.LocOrders != nil, d.Verdict)
-			}
-		case "RA", "CAUSAL":
-			// Polynomial yes/no deciders: no witness artifacts either way.
-			if d.Order != nil || d.Violation != nil {
-				t.Errorf("%s: unexpected explanation artifacts: %v / %v", name, d.Order, d.Violation)
-			}
-		default:
-			if d.Verdict.Out() != (d.Violation != nil) {
-				t.Errorf("%s: violation present = %v, verdict %v", name, d.Violation != nil, d.Verdict)
-			}
-		}
+	}
+}
+
+// checkDecisionShape checks that d carries exactly the explanation its
+// row and verdict call for.
+func checkDecisionShape(t *testing.T, r memmodel.Row, c *computation.Computation, d memmodel.Decision) {
+	t.Helper()
+	in := d.Verdict.In()
+	if r.Search && in && len(d.Order) != c.NumNodes() {
+		t.Fatalf("%s: In verdict with witness order %v on %d nodes", d.Model, d.Order, c.NumNodes())
+	}
+	if (!r.Search || !in) && d.Order != nil {
+		t.Fatalf("%s: unexpected witness order %v (verdict %v)", d.Model, d.Order, d.Verdict)
+	}
+	if wantLoc := in && d.Model == "LC"; wantLoc != (d.LocOrders != nil) {
+		t.Fatalf("%s: per-location sorts present = %v, verdict %v", d.Model, d.LocOrders != nil, d.Verdict)
+	}
+	if d.Violation != nil && !d.Verdict.Out() {
+		t.Fatalf("%s: violating triple on a %v verdict", d.Model, d.Verdict)
 	}
 }
 
@@ -76,14 +112,33 @@ func TestDecideByNameUnknownModel(t *testing.T) {
 	}
 }
 
+// TestPredicateByName: each quantified-dag row decides with the
+// Condition 20.1 predicate of its own name — its decisions report the
+// same violating triple QDagDecide finds for that predicate — and no
+// other row reports triples at all.
 func TestPredicateByName(t *testing.T) {
-	for _, name := range []string{"NN", "NW", "WN", "WW"} {
-		if _, ok := memmodel.PredicateByName(name); !ok {
-			t.Errorf("PredicateByName(%s) missing", name)
-		}
+	preds := map[string]memmodel.Predicate{
+		"NN": memmodel.PredNN, "NW": memmodel.PredNW, "WN": memmodel.PredWN, "WW": memmodel.PredWW,
 	}
-	if _, ok := memmodel.PredicateByName("SC"); ok {
-		t.Error("PredicateByName(SC) resolved; SC is not a quantified-dag model")
+	ctx := context.Background()
+	for _, fx := range []paperfig.Fixture{paperfig.Figure2(), paperfig.Figure3(), paperfig.Dekker()} {
+		for _, name := range memmodel.ModelNames() {
+			d, err := memmodel.DecideByName(ctx, name, fx.Comp, fx.Obs, memmodel.SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ok := preds[name]
+			if !ok {
+				if d.Violation != nil {
+					t.Errorf("%s: non-quantified-dag row reported triple %+v", name, d.Violation)
+				}
+				continue
+			}
+			want, _ := memmodel.QDagDecide(ctx, p, fx.Comp, fx.Obs)
+			if (want == nil) != (d.Violation == nil) || (want != nil && *want != *d.Violation) {
+				t.Errorf("%s: row reported %+v, predicate %s finds %+v", name, d.Violation, p.Name, want)
+			}
+		}
 	}
 }
 

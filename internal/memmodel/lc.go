@@ -1,8 +1,9 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
-	"repro/internal/dag"
 	"repro/internal/observer"
 )
 
@@ -26,43 +27,6 @@ type lcModel struct{}
 func (lcModel) Name() string { return "LC" }
 
 func (lcModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	_, ok := LCWitness(c, o)
-	return ok
-}
-
-// LCWitness returns one topological sort per location witnessing
-// LC-membership, if (c, o) ∈ LC. Each location is decided by the
-// polynomial SerializeLoc reduction with every node's last-writer value
-// pinned to the observer's.
-func LCWitness(c *computation.Computation, o *observer.Observer) ([][]dag.Node, bool) {
-	if o.Validate(c) != nil {
-		return nil, false
-	}
-	sorts := make([][]dag.Node, c.NumLocs())
-	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
-		loc := l
-		order, ok := SerializeLoc(c, loc, func(u dag.Node) (dag.Node, bool) {
-			return o.Get(loc, u), true
-		})
-		if !ok {
-			return nil, false
-		}
-		sorts[l] = order
-	}
-	return sorts, true
-}
-
-// lcContainsBySearch is the exponential topological-sort search for LC
-// membership, retained for cross-validation of SerializeLoc in tests
-// and benchmarks.
-func lcContainsBySearch(c *computation.Computation, o *observer.Observer) bool {
-	if o.Validate(c) != nil {
-		return false
-	}
-	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
-		if _, ok := searchLastWriter(c, o, []computation.Loc{l}); !ok {
-			return false
-		}
-	}
-	return true
+	_, v := LCDecide(context.Background(), c, o)
+	return v.In()
 }

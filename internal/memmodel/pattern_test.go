@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/computation"
@@ -36,14 +37,12 @@ func eachComputationLocal(n, numLocs int, fn func(c *computation.Computation)) {
 // every computation and every valid observer, the pattern bits must
 // agree with the individual model deciders.
 func TestPatternMatchesContains(t *testing.T) {
-	models := PatternModels()
-	if len(models) != len(ModelNames()) {
-		t.Fatalf("PatternModels has %d models, ModelNames %d", len(models), len(ModelNames()))
-	}
-	for i, name := range ModelNames() {
-		if models[i].Name() != name {
-			t.Fatalf("pattern bit %d is %s, want %s", i, models[i].Name(), name)
+	var models []Model
+	for i, r := range Registry() {
+		if r.Bit != 1<<i {
+			t.Fatalf("registry row %d (%s) holds pattern bit %#x, want %#x", i, r.Model.Name(), r.Bit, 1<<i)
 		}
+		models = append(models, r.Model)
 	}
 	cases := []struct{ n, locs int }{
 		{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1},
@@ -82,11 +81,14 @@ func TestPatternMatchesContains(t *testing.T) {
 // TestSleepSetsPreserveSC: the engine's sleep-set pruning must not
 // change SC membership for any pair of the small universe.
 func TestSleepSetsPreserveSC(t *testing.T) {
-	noSleep := SCOpts(SearchOptions{DisableSleep: true})
+	noSleep := func(c *computation.Computation, o *observer.Observer) bool {
+		_, v, _ := SCDecide(context.Background(), c, o, SearchOptions{DisableSleep: true})
+		return v.In()
+	}
 	for _, tc := range []struct{ n, locs int }{{3, 1}, {3, 2}, {4, 1}} {
 		eachComputationLocal(tc.n, tc.locs, func(c *computation.Computation) {
 			observer.Enumerate(c, func(o *observer.Observer) bool {
-				if got, want := SC.Contains(c, o), noSleep.Contains(c, o); got != want {
+				if got, want := SC.Contains(c, o), noSleep(c, o); got != want {
 					t.Fatalf("n=%d locs=%d %v / %v: SC with sleep %v, without %v",
 						tc.n, tc.locs, c, o, got, want)
 				}

@@ -1,8 +1,9 @@
 package memmodel
 
 import (
+	"context"
+
 	"repro/internal/computation"
-	"repro/internal/dag"
 	"repro/internal/observer"
 )
 
@@ -18,35 +19,13 @@ import (
 // (Section 4 of the paper).
 var SC Model = scModel{}
 
-type scModel struct{ opts SearchOptions }
+type scModel struct{}
 
 func (scModel) Name() string { return "SC" }
 
-func (m scModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	_, ok, _ := SCWitnessOpts(c, o, m.opts)
-	return ok
-}
-
-// SCOpts returns the SC decider with explicit engine options (worker
-// count for parallel root splitting, search-state budget). With a
-// budget set, Contains can report false on exhaustion without the
-// instance being decided; use SCWitnessOpts to distinguish.
-func SCOpts(opts SearchOptions) Model { return scModel{opts: opts} }
-
-// SCWitness returns a topological sort T with Φ = W_T, if one exists.
-func SCWitness(c *computation.Computation, o *observer.Observer) ([]dag.Node, bool) {
-	order, ok, _ := SCWitnessOpts(c, o, SearchOptions{})
-	return order, ok
-}
-
-// SCWitnessOpts is SCWitness with engine options, also reporting
-// search statistics (state counts, memo hits, prunes).
-func SCWitnessOpts(c *computation.Computation, o *observer.Observer, opts SearchOptions) ([]dag.Node, bool, SearchStats) {
-	if o.Validate(c) != nil {
-		return nil, false, SearchStats{}
-	}
-	res := searchLastWriterOpts(c, o, allLocs(c), opts)
-	return res.Order, res.Found, res.Stats
+func (scModel) Contains(c *computation.Computation, o *observer.Observer) bool {
+	_, v, _ := SCDecide(context.Background(), c, o, SearchOptions{})
+	return v.In()
 }
 
 func allLocs(c *computation.Computation) []computation.Loc {

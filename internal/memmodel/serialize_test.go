@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -50,8 +51,8 @@ func TestQuickSerializeWitnessRealizes(t *testing.T) {
 		}
 		ok := true
 		observer.Enumerate(c, func(o *observer.Observer) bool {
-			sorts, in := LCWitness(c, o)
-			if !in {
+			sorts, v := LCDecide(context.Background(), c, o)
+			if !v.In() {
 				return true
 			}
 			for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
@@ -228,4 +229,19 @@ func TestSerializeLocScales(t *testing.T) {
 	if !LC.Contains(c, o) {
 		t.Fatal("last-writer observer must be in LC")
 	}
+}
+
+// lcContainsBySearch is the exponential topological-sort search for LC
+// membership, the reference the polynomial SerializeLoc is checked
+// against.
+func lcContainsBySearch(c *computation.Computation, o *observer.Observer) bool {
+	if o.Validate(c) != nil {
+		return false
+	}
+	for l := computation.Loc(0); int(l) < c.NumLocs(); l++ {
+		if !searchLastWriter(context.Background(), c, o, []computation.Loc{l}, SearchOptions{}).Found {
+			return false
+		}
+	}
+	return true
 }

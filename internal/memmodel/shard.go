@@ -43,5 +43,5 @@ func SCDecideShard(ctx context.Context, c *computation.Computation, o *observer.
 		return search.Result{Exhausted: true, WitnessRoot: -1}
 	}
 	opts.RootLo, opts.RootHi = lo, hi
-	return searchLastWriterCtx(ctx, c, o, allLocs(c), opts)
+	return searchLastWriter(ctx, c, o, allLocs(c), opts)
 }

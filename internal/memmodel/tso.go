@@ -42,40 +42,23 @@ import (
 // machine-checked by cmd/lattice.
 var TSO Model = tsoModel{}
 
-type tsoModel struct{ opts SearchOptions }
+type tsoModel struct{}
 
 func (tsoModel) Name() string { return "TSO" }
 
-func (m tsoModel) Contains(c *computation.Computation, o *observer.Observer) bool {
-	_, ok, _ := TSOWitnessOpts(c, o, m.opts)
-	return ok
-}
-
-// TSOOpts returns the TSO decider with explicit engine options. With a
-// budget set, Contains can report false on exhaustion without the
-// instance being decided; use TSODecide to distinguish.
-func TSOOpts(opts SearchOptions) Model { return tsoModel{opts: opts} }
-
-// TSOWitness returns a memory order realizing Φ under TSO, if one
-// exists: the original nodes sequenced by when they take effect —
-// reads and noops at issue, writes at commit.
-func TSOWitness(c *computation.Computation, o *observer.Observer) ([]dag.Node, bool) {
-	order, ok, _ := TSOWitnessOpts(c, o, SearchOptions{})
-	return order, ok
-}
-
-// TSOWitnessOpts is TSOWitness with engine options and statistics.
-func TSOWitnessOpts(c *computation.Computation, o *observer.Observer, opts SearchOptions) ([]dag.Node, bool, SearchStats) {
-	order, v, stats := TSODecide(context.Background(), c, o, opts)
-	return order, v.In(), stats
+func (tsoModel) Contains(c *computation.Computation, o *observer.Observer) bool {
+	_, v, _ := TSODecide(context.Background(), c, o, SearchOptions{})
+	return v.In()
 }
 
 // TSODecide decides (c, o) ∈ TSO under ctx. The search runs on the
 // two-event expansion with the forwarding constraints expressed through
 // the engine's placement gate; memoization and root sharding work
 // unchanged (the gate is a pure function of the memo key), so the
-// fleet can shard TSO like any engine-backed model. The returned order
-// is the memory order over the original nodes (see TSOWitness).
+// fleet can shard TSO like any engine-backed model. A definitive In
+// verdict comes with a memory order realizing Φ: the original nodes
+// sequenced by when they take effect — reads and noops at issue,
+// writes at commit.
 func TSODecide(ctx context.Context, c *computation.Computation, o *observer.Observer, opts SearchOptions) ([]dag.Node, Verdict, SearchStats) {
 	if o.Validate(c) != nil {
 		return nil, search.VerdictOut(), SearchStats{}

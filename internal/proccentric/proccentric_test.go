@@ -1,6 +1,7 @@
 package proccentric
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -70,10 +71,10 @@ func TestLitmusSuite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		if got := checker.VerifySC(tr).OK; got != l.AllowSC {
+		if got := verifySC(tr).OK; got != l.AllowSC {
 			t.Errorf("%s: SC = %v, want %v (%s)", l.Name, got, l.AllowSC, l.Comment)
 		}
-		if got := checker.VerifyLC(tr).OK; got != l.AllowLC {
+		if got := verifyLC(tr).OK; got != l.AllowLC {
 			t.Errorf("%s: LC = %v, want %v (%s)", l.Name, got, l.AllowLC, l.Comment)
 		}
 		// Lamport's interleaving semantics must agree with the SC
@@ -123,7 +124,7 @@ func TestQuickSCEqualsLamport(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return checker.VerifySC(tr).OK == p.LamportAllows(outcome)
+		return verifySC(tr).OK == p.LamportAllows(outcome)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -157,9 +158,20 @@ func TestQuickLamportImpliesLC(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return checker.VerifySC(tr).OK && checker.VerifyLC(tr).OK
+		return verifySC(tr).OK && verifyLC(tr).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// verifySC and verifyLC run the trace checkers without governance.
+func verifySC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
+}
+
+func verifyLC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
 }

@@ -9,7 +9,7 @@ import "repro/internal/dag"
 // to completion. Any empty domain makes the product empty. Zero
 // domains yield the single empty assignment.
 //
-// This is the backtracking skeleton behind checker.VerifyModel's
+// This is the backtracking skeleton behind checker.VerifyModelCtx's
 // observer-function sweep, hoisted here so the checker contains no
 // private search loop of its own.
 func Assignments(domains [][]dag.Node, fn func(assign []dag.Node) bool) bool {

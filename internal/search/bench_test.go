@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -253,7 +254,7 @@ func BenchmarkSearchSCRingNegative(b *testing.B) {
 		b.Run(fmt.Sprintf("engine/k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, ok, stats := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1})
+				_, ok, stats := scWitness(c, o, memmodel.SearchOptions{Workers: 1})
 				if ok {
 					b.Fatal("ring instance must not be SC")
 				}
@@ -281,7 +282,7 @@ func BenchmarkSearchSCLayeredPositive(b *testing.B) {
 		b.Run("engine/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, ok, stats := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1})
+				_, ok, stats := scWitness(c, o, memmodel.SearchOptions{Workers: 1})
 				if !ok {
 					b.Fatal("last-writer observer must be SC")
 				}
@@ -301,7 +302,7 @@ func BenchmarkSearchSCEngineLargeRing(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok, _ := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1}); ok {
+				if _, ok, _ := scWitness(c, o, memmodel.SearchOptions{Workers: 1}); ok {
 					b.Fatal("ring instance must not be SC")
 				}
 			}
@@ -495,7 +496,7 @@ func BenchmarkSearchCheckerSCCollision(b *testing.B) {
 		b.Run(fmt.Sprintf("engine/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, _, stats := checker.VerifySCOpts(tr, checker.SearchOptions{Workers: 1})
+				res, _, stats := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{Workers: 1})
 				if !res.OK {
 					b.Fatal("collision trace must verify")
 				}

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestQuickEngineSCAgainstBruteForce(t *testing.T) {
 		}
 		for _, o := range sampleObservers(c, 20) {
 			want := bruteSC(c, o, sorts)
-			order, got := memmodel.SCWitness(c, o)
+			order, got, _ := scWitness(c, o, memmodel.SearchOptions{})
 			if got != want {
 				t.Fatalf("SC(%v, %v) = %v, brute force says %v", c, o, got, want)
 			}
@@ -207,7 +208,7 @@ func TestQuickCheckerAgainstBruteForce(t *testing.T) {
 				continue
 			}
 			wantSC := bruteTraceSC(tr, sorts)
-			resSC := checker.VerifySC(tr)
+			resSC := verifySC(tr)
 			if resSC.OK != wantSC {
 				t.Fatalf("VerifySC(%v) = %v, brute force says %v", tr, resSC.OK, wantSC)
 			}
@@ -220,7 +221,7 @@ func TestQuickCheckerAgainstBruteForce(t *testing.T) {
 				scNeg++
 			}
 			wantLC := bruteTraceLC(tr, sorts)
-			resLC := checker.VerifyLC(tr)
+			resLC := verifyLC(tr)
 			if resLC.OK != wantLC {
 				t.Fatalf("VerifyLC(%v) = %v, brute force says %v", tr, resLC.OK, wantLC)
 			}
@@ -243,9 +244,9 @@ func TestQuickParallelMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c := randomComputation(rng, 7, 2)
 		for _, o := range sampleObservers(c, 10) {
-			serialOrder, serialOK, _ := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: 1})
+			serialOrder, serialOK, _ := scWitness(c, o, memmodel.SearchOptions{Workers: 1})
 			for _, w := range []int{2, 4} {
-				parOrder, parOK, _ := memmodel.SCWitnessOpts(c, o, memmodel.SearchOptions{Workers: w})
+				parOrder, parOK, _ := scWitness(c, o, memmodel.SearchOptions{Workers: w})
 				if parOK != serialOK {
 					t.Fatalf("workers=%d decision %v, serial %v on (%v, %v)", w, parOK, serialOK, c, o)
 				}
@@ -279,16 +280,34 @@ func TestQuickCheckerParallelMatchesSerial(t *testing.T) {
 			if tr.Validate() != nil {
 				continue
 			}
-			serial, _, _ := checker.VerifySCOpts(tr, checker.SearchOptions{Workers: 1})
-			par, _, _ := checker.VerifySCOpts(tr, checker.SearchOptions{Workers: 4})
+			serial, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{Workers: 1})
+			par, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{Workers: 4})
 			if serial.OK != par.OK {
 				t.Fatalf("VerifySC workers=4 %v, workers=1 %v on %v", par.OK, serial.OK, tr)
 			}
-			serialLC, _, _ := checker.VerifyLCOpts(tr, checker.SearchOptions{Workers: 1})
-			parLC, _, _ := checker.VerifyLCOpts(tr, checker.SearchOptions{Workers: 4})
+			serialLC, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{Workers: 1})
+			parLC, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{Workers: 4})
 			if serialLC.OK != parLC.OK {
 				t.Fatalf("VerifyLC workers=4 %v, workers=1 %v on %v", parLC.OK, serialLC.OK, tr)
 			}
 		}
 	}
+}
+
+// verifySC and verifyLC run the trace checkers without governance.
+func verifySC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifySCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
+}
+
+func verifyLC(tr *trace.Trace) checker.Result {
+	res, _, _ := checker.VerifyLCCtx(context.Background(), tr, checker.SearchOptions{})
+	return res
+}
+
+// scWitness decides SC membership under opts, returning the witness
+// sort and engine stats.
+func scWitness(c *computation.Computation, o *observer.Observer, opts memmodel.SearchOptions) ([]dag.Node, bool, memmodel.SearchStats) {
+	order, v, stats := memmodel.SCDecide(context.Background(), c, o, opts)
+	return order, v.In(), stats
 }

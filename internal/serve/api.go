@@ -5,6 +5,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/computation"
+	"repro/internal/memmodel"
 	"repro/internal/search"
 )
 
@@ -61,6 +63,28 @@ type ModelResult struct {
 	Violation string `json:"violation,omitempty"`
 	// Stats reports the engine's work (SC and TSO).
 	Stats *SearchStats `json:"stats,omitempty"`
+}
+
+// modelResult renders one decision in the wire shape /v1/check and
+// /v1/batch share: engine stats and the witness order for engine-backed
+// rows, per-location sorts and violating triples whenever the decision
+// carries them, all spelled with the pair's node names.
+func modelResult(named *computation.Named, row memmodel.Row, d memmodel.Decision) ModelResult {
+	mr := ModelResult{Model: d.Model, Verdict: d.Verdict}
+	if row.Search {
+		mr.Stats = &SearchStats{States: d.Stats.States, MemoHits: d.Stats.MemoHits, Pruned: d.Stats.Pruned, Workers: d.Stats.Workers}
+		if d.Verdict.In() {
+			mr.Witness = named.RenderOrder(d.Order)
+		}
+	}
+	for _, sort := range d.LocOrders {
+		mr.LocWitnesses = append(mr.LocWitnesses, named.RenderOrder(sort))
+	}
+	if v := d.Violation; v != nil {
+		mr.Violation = fmt.Sprintf("%d: %s ≺ %s ≺ %s",
+			v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
+	}
+	return mr
 }
 
 // CheckResponse answers a CheckRequest, one result per model in
@@ -200,18 +224,14 @@ func (l Limits) optionsFingerprint(o Options) string {
 }
 
 // validModels screens a requested model list (nil = all) against the
-// known names, preserving request order.
-func validModels(req []string, known []string) ([]string, error) {
+// registry, preserving request order.
+func validModels(req []string) ([]string, error) {
 	if len(req) == 0 {
-		return known, nil
-	}
-	set := make(map[string]bool, len(known))
-	for _, m := range known {
-		set[m] = true
+		return memmodel.ModelNames(), nil
 	}
 	for _, m := range req {
-		if !set[m] {
-			return nil, fmt.Errorf("unknown model %q (valid: %s)", m, strings.Join(known, ", "))
+		if _, ok := memmodel.Lookup(m); !ok {
+			return nil, fmt.Errorf("unknown model %q (valid: %s)", m, strings.Join(memmodel.ModelNames(), ", "))
 		}
 	}
 	return req, nil

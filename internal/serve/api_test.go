@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/memmodel"
 )
 
 func TestClampInt64(t *testing.T) {
@@ -79,16 +82,15 @@ func TestOptionsFingerprintExcludesTimeout(t *testing.T) {
 }
 
 func TestValidModels(t *testing.T) {
-	known := []string{"SC", "LC", "NN"}
-	got, err := validModels(nil, known)
-	if err != nil || len(got) != 3 {
-		t.Errorf("nil request = %v, %v; want all known", got, err)
+	got, err := validModels(nil)
+	if err != nil || strings.Join(got, ",") != strings.Join(memmodel.ModelNames(), ",") {
+		t.Errorf("nil request = %v, %v; want every registered model", got, err)
 	}
-	got, err = validModels([]string{"LC", "SC"}, known)
+	got, err = validModels([]string{"LC", "SC"})
 	if err != nil || got[0] != "LC" || got[1] != "SC" {
 		t.Errorf("order not preserved: %v, %v", got, err)
 	}
-	if _, err := validModels([]string{"TSO"}, known); err == nil {
+	if _, err := validModels([]string{"PSO"}); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

@@ -95,13 +95,8 @@ type batchItem struct {
 // batch with 400: batches are built mechanically by a coordinator, so
 // a bad item is a caller bug, not data to partially tolerate.
 func parseBatchItem(it BatchItem, idx int) (batchItem, error) {
-	models := memmodel.ModelNames()
-	known := false
-	for _, m := range models {
-		known = known || m == it.Model
-	}
-	if !known {
-		return batchItem{}, fmt.Errorf("item %d: unknown model %q (valid: %s)", idx, it.Model, strings.Join(models, ", "))
+	if _, ok := memmodel.Lookup(it.Model); !ok {
+		return batchItem{}, fmt.Errorf("item %d: unknown model %q (valid: %s)", idx, it.Model, strings.Join(memmodel.ModelNames(), ", "))
 	}
 	if it.RootLo < 0 || it.RootHi < 0 {
 		return batchItem{}, fmt.Errorf("item %d: negative shard bound [%d, %d)", idx, it.RootLo, it.RootHi)
@@ -208,50 +203,23 @@ func (s *Server) decideBatchItem(it batchItem, opts memmodel.SearchOptions, time
 
 	res := BatchResult{Model: it.model, WitnessRoot: -1}
 	s.countDecision(it.model)
-	var cacheable bool
+	row, _ := memmodel.Lookup(it.model) // validated by parseBatchItem
+	var d memmodel.Decision
 	if it.model == "SC" {
 		scOpts := opts
 		scOpts.Recorder = obs.WithRun(rec, fmt.Sprintf("SC[%d,%d)", it.lo, it.hi))
 		sr := memmodel.SCDecideShard(ctx, it.named.Comp, it.ofn, it.lo, it.hi, scOpts)
-		v := sr.Verdict()
-		res.Verdict = v
+		d = memmodel.Decision{Model: it.model, Verdict: sr.Verdict(), Stats: sr.Stats, Order: sr.Order}
 		res.WitnessRoot = sr.WitnessRoot
 		res.RootsTotal = sr.Stats.Roots
-		st := SearchStats{States: sr.Stats.States, MemoHits: sr.Stats.MemoHits, Pruned: sr.Stats.Pruned, Workers: sr.Stats.Workers}
-		res.Stats = &st
-		if v.In() {
-			res.Witness = it.named.RenderOrder(sr.Order)
-		}
-		cacheable = v.Decided
 	} else {
 		dOpts := opts
 		dOpts.Recorder = rec
-		d, err := memmodel.DecideByName(ctx, it.model, it.named.Comp, it.ofn, dOpts)
-		if err != nil { // unreachable: the model name was validated
-			return nil, false, err
-		}
-		res.Verdict = d.Verdict
-		switch it.model {
-		case "TSO":
-			st := SearchStats{States: d.Stats.States, MemoHits: d.Stats.MemoHits, Pruned: d.Stats.Pruned, Workers: d.Stats.Workers}
-			res.Stats = &st
-			if d.Verdict.In() {
-				res.Witness = it.named.RenderOrder(d.Order)
-			}
-		case "LC":
-			if d.Verdict.In() {
-				for _, sort := range d.LocOrders {
-					res.LocWitnesses = append(res.LocWitnesses, it.named.RenderOrder(sort))
-				}
-			}
-		default:
-			if v := d.Violation; v != nil {
-				res.Violation = fmt.Sprintf("%d: %s ≺ %s ≺ %s",
-					v.Loc, it.named.RenderNode(v.U), it.named.RenderNode(v.V), it.named.RenderNode(v.W))
-			}
-		}
-		cacheable = d.Verdict.Decided
+		d = row.Decide(ctx, it.named.Comp, it.ofn, dOpts)
 	}
+	mr := modelResult(it.named, row, d)
+	res.Verdict, res.Witness, res.LocWitnesses, res.Violation, res.Stats = mr.Verdict, mr.Witness, mr.LocWitnesses, mr.Violation, mr.Stats
+	cacheable := d.Verdict.Decided
 	body, err := json.Marshal(res)
 	return body, cacheable, err
 }

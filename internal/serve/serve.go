@@ -30,7 +30,7 @@
 //     half-written responses.
 //
 // The decisions themselves are the same code paths the CLIs use
-// (memmodel.DecideByName, checker.Verify*Ctx, expt census), so a
+// (the memmodel registry, checker.Verify*Ctx, expt census), so a
 // verdict or witness obtained over HTTP is byte-identical to the CLI's
 // — the property the conformance suite in cmd/ccmc and cmd/verify
 // pins.
@@ -367,33 +367,56 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.requests.Add(1)
 		m.inFlight.Add(1)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, m: m, start: time.Now()}
 		panicked := true
-		defer func() {
-			m.inFlight.Add(-1)
-			m.latencyUS.Add(time.Since(start).Microseconds())
-			if panicked || sw.code >= 400 {
-				m.errors.Add(1)
-				if sw.code == http.StatusServiceUnavailable {
-					m.shed.Add(1)
-				}
-			}
-		}()
+		defer func() { sw.settle(panicked) }()
 		h(sw, r)
 		panicked = false
 	}
 }
 
-// statusWriter records the response code for the gauges.
+// statusWriter records the response code and settles the endpoint
+// gauges.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code    int
+	m       *endpointMetrics
+	start   time.Time
+	settled bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
 	w.ResponseWriter.WriteHeader(code)
+}
+
+// settle publishes the exchange's endpoint gauges (in-flight, latency,
+// errors) once. instrument settles when the handler returns; the
+// terminal writes settle first (settleGauges), because a flushed or
+// large body can reach the client before the handler returns, and a
+// client that has read its whole response must not find the exchange
+// still in flight on /statsz. Handler goroutine only.
+func (w *statusWriter) settle(failed bool) {
+	if w.settled {
+		return
+	}
+	w.settled = true
+	w.m.inFlight.Add(-1)
+	w.m.latencyUS.Add(time.Since(w.start).Microseconds())
+	if failed || w.code >= 400 {
+		w.m.errors.Add(1)
+		if w.code == http.StatusServiceUnavailable {
+			w.m.shed.Add(1)
+		}
+	}
+}
+
+// settleGauges settles w's endpoint gauges ahead of a terminal write;
+// a writer instrument did not wrap is left alone.
+func settleGauges(w http.ResponseWriter) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.settle(false)
+	}
 }
 
 // Unwrap exposes the wrapped writer so http.ResponseController (the
@@ -410,6 +433,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	settleGauges(w)
 	w.Write(append(body, '\n'))
 }
 
@@ -457,6 +481,7 @@ func respond(w http.ResponseWriter, src cacheSource, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Ccmd-Cache", src.String())
 	w.WriteHeader(http.StatusOK)
+	settleGauges(w)
 	w.Write(body)
 }
 
@@ -466,7 +491,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	models, err := validModels(req.Models, memmodel.ModelNames())
+	models, err := validModels(req.Models)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -504,32 +529,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		resp := CheckResponse{Results: make([]ModelResult, 0, len(models))}
 		cacheable := true
 		for _, model := range models {
+			row, _ := memmodel.Lookup(model) // validated above
 			opts.Recorder = obs.WithRun(rec, model)
-			d, err := memmodel.DecideByName(ctx, model, named.Comp, ofn, opts)
-			if err != nil { // unreachable: models were validated
-				return nil, false, err
-			}
+			d := row.Decide(ctx, named.Comp, ofn, opts)
 			s.countDecision(model)
-			mr := ModelResult{Model: model, Verdict: d.Verdict}
-			switch model {
-			case "SC", "TSO":
-				st := SearchStats{States: d.Stats.States, MemoHits: d.Stats.MemoHits, Pruned: d.Stats.Pruned, Workers: d.Stats.Workers}
-				mr.Stats = &st
-				if d.Verdict.In() {
-					mr.Witness = named.RenderOrder(d.Order)
-				}
-			case "LC":
-				if d.Verdict.In() {
-					for _, sort := range d.LocOrders {
-						mr.LocWitnesses = append(mr.LocWitnesses, named.RenderOrder(sort))
-					}
-				}
-			default:
-				if v := d.Violation; v != nil {
-					mr.Violation = fmt.Sprintf("%d: %s ≺ %s ≺ %s",
-						v.Loc, named.RenderNode(v.U), named.RenderNode(v.V), named.RenderNode(v.W))
-				}
-			}
+			mr := modelResult(named, row, d)
 			cacheable = cacheable && d.Verdict.Decided
 			resp.Results = append(resp.Results, mr)
 		}

@@ -200,8 +200,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	rec := s.requestRecorder(r)
 	obs.Emit(rec, obs.Event{Kind: obs.RunStart, Run: "stream"})
-	s.streams.active.Add(1)
-	defer s.streams.active.Add(-1)
+	s.streams.active.Add(1) // every exit below runs finish, which decrements it
 
 	ring := stream.NewRing(cfg.Buffer)
 	var stopRead atomic.Bool
@@ -275,7 +274,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		st := chk.Stats()
 		final.Stats = &st
 		final.RequestID = reqID
-		writeRecord(final)
+		// Every counter the final record accounts for is published
+		// before the record is written: a client that reads the final
+		// record and then polls /statsz must see this stream as done.
+		s.streams.active.Add(-1)
 		s.streams.done.Add(1)
 		s.streams.events.Add(st.Events)
 		s.streams.shed.Add(st.Shed)
@@ -283,6 +285,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		summary := fmt.Sprintf("LC=%s SC=%s", final.LC.Text, final.SC.Text)
 		obs.Emit(rec, obs.Event{Kind: obs.StreamDone, Run: "stream", N: st.Events, Total: int(st.Shed), Str: summary})
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd, Run: "stream", Str: summary})
+		settleGauges(w)
+		writeRecord(final)
 	}
 
 	for {

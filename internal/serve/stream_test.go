@@ -363,6 +363,27 @@ func TestTraceStreamStatsz(t *testing.T) {
 	}
 }
 
+// TestTraceStreamGaugesSettledAtFinal: the gauges that count a stream
+// as running — the stream block's active count and the trace
+// endpoint's in-flight count — are settled before the final record is
+// written, so a client that has read the final record never finds its
+// own stream still running on /statsz.
+func TestTraceStreamGaugesSettledAtFinal(t *testing.T) {
+	_, ts := testServer(t, Config{Stream: StreamConfig{CheckEvery: 1}})
+	conn := openStream(t, ts.URL)
+	conn.send(t, corpusEvents(t, "mp_stale.trace")...)
+	conn.collectUntilFinal(t)
+
+	doc := statsz(t, ts.URL)
+	if doc.Stream.Active != 0 || doc.Stream.Done != 1 {
+		t.Fatalf("stream active/done = %d/%d after the final record, want 0/1", doc.Stream.Active, doc.Stream.Done)
+	}
+	ep := doc.Endpoints["trace"]
+	if ep.Requests != 1 || ep.InFlight != 0 {
+		t.Fatalf("trace endpoint requests/in_flight = %d/%d after the final record, want 1/0", ep.Requests, ep.InFlight)
+	}
+}
+
 // TestTraceStreamDrainRejects: a draining server sheds new streams
 // with 503 like any other decision.
 func TestTraceStreamDrainRejects(t *testing.T) {

@@ -338,10 +338,6 @@ func (c *Checker) ingestNode(ev Event) (*Violation, error) {
 
 func (c *Checker) record(v *Violation) {
 	c.violations = append(c.violations, *v)
-	c.applyFlags(*v)
-}
-
-func (c *Checker) applyFlags(v Violation) {
 	for _, m := range v.Models {
 		switch m {
 		case "LC":
@@ -502,8 +498,8 @@ func (c *Checker) Trace() *trace.NamedTrace {
 // Finish computes the end-of-stream verdicts. For models not already
 // online-violated it runs the post-mortem checker over the assembled
 // trace — the same code path as offline verification, so the verdict
-// (and witness) is byte-identical to checker.VerifyLC/SC on the
-// completed trace. Online-violated models short-circuit to a
+// (and witness) is byte-identical to checker.VerifyLCCtx/VerifySCCtx
+// on the completed trace. Online-violated models short-circuit to a
 // definitive VIOLATED; an overrun degrades undecided models to
 // INCONCLUSIVE(overrun).
 func (c *Checker) Finish(ctx context.Context, opts checker.SearchOptions) Final {

@@ -32,8 +32,8 @@
 // that hold in every completion of the stream, however many concurrent
 // writes, reads, and dependencies arrive later. At end-of-stream it
 // runs the exact post-mortem decision over the assembled trace, so the
-// final verdict is byte-identical to checker.VerifySC/LC on the same
-// completed trace.
+// final verdict is byte-identical to checker.VerifySCCtx/VerifyLCCtx
+// on the same completed trace.
 package stream
 
 import (
