@@ -35,9 +35,10 @@ type PatternSweep struct {
 	// unreduced per-edge Compare would report.
 	Edges []Relation
 	// Counts is the orbit-weighted census: Counts[p] is the number of
-	// universe pairs whose membership pattern is exactly p (indexed by
-	// the full 9-bit pattern; Figure-1-only censuses land in the low 64
-	// entries).
+	// universe pairs whose membership pattern, restricted to the decided
+	// bits, is exactly p (indexed by the 9-bit pattern). The decided
+	// bits are those the edges read, or every registry bit when there
+	// are no edges.
 	Counts [512]int64
 	// Pairs and Computations are universe totals (orbit-weighted);
 	// RepPairs and RepComputations count what was actually decided.
@@ -57,13 +58,15 @@ type edgeWitness struct {
 // PatternSweepParallel classifies every pair of the universe up to
 // maxNodes nodes into its Figure-1 membership pattern, deciding only
 // canonical representatives (orbit-weighted), sharded over workers
-// (<= 0 means GOMAXPROCS). Counts and witnesses are identical to
-// running the unreduced CompareParallelObs once per edge, for every
-// worker count. The recorder (nil = off) sees a RunStart with live
-// gauges (decided pairs as States), one WorkerDone per shard, and a
-// RunEnd; WorkerDone and RunEnd stats carry the symmetry gauges
-// (Orbits = universe computations covered, SymmetrySkipped =
-// computations never materialized).
+// (<= 0 means GOMAXPROCS). Only the pattern bits the edges read are
+// decided (every bit when edges is empty, the census). Edge relations
+// and witnesses are identical to running the unreduced
+// CompareParallelObs once per edge, for every worker count. The
+// recorder (nil = off) sees a RunStart with live gauges (decided pairs
+// as States), one WorkerDone per shard, and a RunEnd; WorkerDone and
+// RunEnd stats carry the symmetry gauges (Orbits = universe
+// computations covered, SymmetrySkipped = computations never
+// materialized).
 func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, numLocs, workers int, rec obs.Recorder) (PatternSweep, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -78,6 +81,16 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 		pairs, members, decided int64
 		comps, repComps         int64
 		wits                    []edgeWitness
+	}
+	// Decide only the bits the edges read; the census reads them all.
+	var need uint16
+	for _, e := range edges {
+		need |= e.A | e.B
+	}
+	if len(edges) == 0 {
+		for _, r := range memmodel.Registry() {
+			need |= r.Bit
+		}
 	}
 	results := make([]shardRes, workers)
 	var cancelled atomic.Bool
@@ -115,7 +128,7 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 						if cancelled.Load() {
 							return false
 						}
-						p := pd.Pattern(o)
+						p := pd.Pattern(o, need)
 						sr.counts[p] += orbit
 						sr.pairs += orbit
 						for ei := range edges {

@@ -35,6 +35,10 @@ func TestDecideByNameMatchesModels(t *testing.T) {
 			t.Fatalf("row %d is %s with bit %#x; want %s with bit %#x", i, r.Model.Name(), r.Bit, names[i], 1<<i)
 		}
 	}
+	var all uint16
+	for _, r := range rows {
+		all |= r.Bit
+	}
 	ctx := context.Background()
 	pd := memmodel.NewPatternDecider()
 	for _, locs := range []int{1, 2} {
@@ -43,7 +47,7 @@ func TestDecideByNameMatchesModels(t *testing.T) {
 			pd.Reset(c)
 			observer.Enumerate(c, func(o *observer.Observer) bool {
 				pairs++
-				p := pd.Pattern(o)
+				p := pd.Pattern(o, all)
 				for _, r := range rows {
 					name := r.Model.Name()
 					d, err := memmodel.DecideByName(ctx, name, c, o, memmodel.SearchOptions{})

@@ -9,6 +9,15 @@ import (
 	"repro/internal/observer"
 )
 
+// everyBit is the mask of every registry row's pattern bit.
+func everyBit() uint16 {
+	var all uint16
+	for _, r := range Registry() {
+		all |= r.Bit
+	}
+	return all
+}
+
 // eachComputationLocal enumerates the ordered-node universe of exactly
 // n nodes (mirroring enum.EachComputation, which this package cannot
 // import without a cycle).
@@ -57,7 +66,7 @@ func TestPatternMatchesContains(t *testing.T) {
 		eachComputationLocal(tc.n, tc.locs, func(c *computation.Computation) {
 			pd.Reset(c)
 			observer.Enumerate(c, func(o *observer.Observer) bool {
-				got := pd.Pattern(o)
+				got := pd.Pattern(o, everyBit())
 				var want uint16
 				for i, m := range models {
 					if m.Contains(c, o) {
@@ -110,7 +119,7 @@ func TestPatternDeciderReuse(t *testing.T) {
 			shared.Reset(c)
 			fresh.Reset(c)
 			observer.Enumerate(c, func(o *observer.Observer) bool {
-				if g, w := shared.Pattern(o), fresh.Pattern(o); g != w {
+				if g, w := shared.Pattern(o, everyBit()), fresh.Pattern(o, everyBit()); g != w {
 					t.Fatalf("n=%d locs=%d %v / %v: reused decider %06b, fresh %06b",
 						tc.n, tc.locs, c, o, g, w)
 				}

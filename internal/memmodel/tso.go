@@ -63,7 +63,14 @@ func TSODecide(ctx context.Context, c *computation.Computation, o *observer.Obse
 	if o.Validate(c) != nil {
 		return nil, search.VerdictOut(), SearchStats{}
 	}
-	spec, feasible := TSOSpec(c, o)
+	// View causality must be acyclic: every cross-past observation is
+	// a real-time ordering (the observed write committed before the
+	// observer sampled it), so a cycle in precedence ∪ observation has
+	// no execution.
+	if !newHB(c).build(o) {
+		return nil, search.VerdictOut(), SearchStats{}
+	}
+	spec, feasible := tsoSpec(c, o)
 	if !feasible {
 		return nil, search.VerdictOut(), SearchStats{}
 	}
@@ -114,27 +121,20 @@ type tsoGate struct {
 	lwCommits  []int32
 }
 
-// TSOSpec compiles the TSO membership question into an engine Spec on
+// tsoSpec compiles the TSO membership question into an engine Spec on
 // the two-event expansion of c: events 0..n-1 are the original nodes'
 // issue events (reads and noops take effect there), and each write
 // additionally owns a commit event ≥ n, the sole writer of its
-// location slot. feasible is false when a constraint is statically
-// unsatisfiable — a view causality cycle, a ⊥ view past a
-// program-order write, or a view shadowed by a program-order-later
-// write — and the pair is then definitively out.
-func TSOSpec(c *computation.Computation, o *observer.Observer) (search.Spec, bool) {
+// location slot. The caller must already have checked that (c, o)'s
+// happens-before relation is acyclic (its image in the event dag below
+// would otherwise be cyclic). feasible is false when a constraint is
+// statically unsatisfiable — a ⊥ view past a program-order write, or a
+// view shadowed by a program-order-later write — and the pair is then
+// definitively out.
+func tsoSpec(c *computation.Computation, o *observer.Observer) (search.Spec, bool) {
 	n := c.NumNodes()
 	cl := c.Closure()
 	numLocs := c.NumLocs()
-
-	// View causality must be acyclic: every cross-past observation is
-	// a real-time ordering (the observed write committed before the
-	// observer sampled it), so a cycle in precedence ∪ observation has
-	// no execution — and its image in the event dag below would be
-	// cyclic too.
-	if _, ok := buildHB(c, o); !ok {
-		return search.Spec{}, false
-	}
 
 	// Commit event ids: n + rank of the write among the writes.
 	commitOf := make([]int32, n)
@@ -174,8 +174,8 @@ func TSOSpec(c *computation.Computation, o *observer.Observer) (search.Spec, boo
 	// A view of a write outside the node's C-past is a read from
 	// memory: that commit precedes this issue. (Inside the C-past the
 	// buffer machinery below owns the constraint.) These edges are
-	// images of happens-before pairs, so the hb check above keeps rd
-	// acyclic.
+	// images of happens-before pairs, so the caller's hb check keeps
+	// rd acyclic.
 	for l := computation.Loc(0); int(l) < numLocs; l++ {
 		for u := 0; u < n; u++ {
 			node := dag.Node(u)
@@ -187,10 +187,7 @@ func TSOSpec(c *computation.Computation, o *observer.Observer) (search.Spec, boo
 		}
 	}
 
-	writers := make([][]dag.Node, numLocs)
-	for l := 0; l < numLocs; l++ {
-		writers[l] = c.Writers(computation.Loc(l))
-	}
+	writers := locWriters(c)
 
 	gates := make([][]tsoGate, nEvents) // commit events carry no gates
 	vals := make([]dag.Node, numLocs*nEvents)

@@ -329,6 +329,10 @@ func TestParseEventRejections(t *testing.T) {
 		{"end with fields", `{"ev":"end","name":"A"}`, "carries fields"},
 		{"nameless node", `{"ev":"node","op":"N"}`, "without a name"},
 		{"opless node", `{"ev":"node","name":"A"}`, "without an op"},
+		{"second object", `{"ev":"end"}{"ev":"locs"}`, "trailing data"},
+		{"second object after space", `{"ev":"end"} {"ev":"locs"}`, "trailing data"},
+		{"trailing text", `{"ev":"end"} trailing`, "trailing data"},
+		{"stray close", `{"ev":"end"}}`, "trailing data"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseEvent([]byte(tc.line))
@@ -336,6 +340,10 @@ func TestParseEventRejections(t *testing.T) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+	// Surrounding JSON whitespace is not trailing data.
+	if _, err := ParseEvent([]byte(" {\"ev\":\"end\"} \t\r\n")); err != nil {
+		t.Fatalf("whitespace-padded end event rejected: %v", err)
 	}
 	// The neighbouring value still parses.
 	ev, err := ParseEvent([]byte(`{"ev":"node","name":"R","op":"R(x)","val":-9223372036854775807}`))

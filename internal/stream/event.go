@@ -75,8 +75,10 @@ type Event struct {
 	Pred []string `json:"pred,omitempty"`
 }
 
-// ParseEvent decodes one NDJSON line. Unknown fields are rejected so a
-// misspelled key fails loudly instead of silently changing the trace.
+// ParseEvent decodes one NDJSON line. Unknown fields and anything but
+// whitespace after the event are rejected, so a misspelled key or a
+// second object on the line fails loudly instead of silently changing
+// the trace.
 // Shape validation beyond the protocol state (fresh names, known
 // predecessors, location arity) happens at ingest.
 func ParseEvent(line []byte) (Event, error) {
@@ -85,6 +87,14 @@ func ParseEvent(line []byte) (Event, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&ev); err != nil {
 		return Event{}, fmt.Errorf("stream: bad event: %w", err)
+	}
+	// One event per line: anything but JSON whitespace after the first
+	// value (a second object, stray text) is a framing error, not
+	// something to drop silently.
+	for _, b := range line[dec.InputOffset():] {
+		if b != ' ' && b != '\t' && b != '\r' && b != '\n' {
+			return Event{}, fmt.Errorf("stream: trailing data after event")
+		}
 	}
 	switch ev.Ev {
 	case EvLocs:

@@ -13,8 +13,13 @@
 # threshold SERVE_MAX_P99_REGRESSION_PCT (default 50) — and skips
 # gracefully when either is missing.
 #
-# Self-contained (awk only): no benchstat dependency. Compare runs on
-# the same goos/goarch/CPU as the baseline to avoid false regressions.
+# Benchmarks are matched by name with the trailing -N GOMAXPROCS
+# suffix stripped, so runs on boxes with different CPU counts still
+# compare row by row.
+#
+# Self-contained (awk only): no benchstat dependency. ns/op only gates
+# when latest ran on the baseline's CPU; allocs/op does not depend on
+# the CPU and gates everywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,35 +86,39 @@ if [ ! -f "$LATEST" ]; then
   exit 1
 fi
 
-# Cross-CPU deltas are meaningless; on different hardware the compare
-# is advisory only (printed, JSON emitted, but never failing). Set
-# BENCH_COMPARE_FORCE=1 to gate anyway.
+# Cross-CPU ns/op deltas are meaningless; on different hardware the
+# ns/op compare is advisory only (printed, JSON emitted, but never
+# failing). allocs/op still gates. Set BENCH_COMPARE_FORCE=1 to gate
+# ns/op anyway.
 base_cpu=$(grep -m1 '^cpu:' "$BASELINE" || true)
 latest_cpu=$(grep -m1 '^cpu:' "$LATEST" || true)
 ADVISORY=0
 if [ "${BENCH_COMPARE_FORCE:-0}" != "1" ] && [ "$base_cpu" != "$latest_cpu" ]; then
-  echo "note: baseline CPU (${base_cpu#cpu: }) != latest CPU (${latest_cpu#cpu: }); compare is advisory"
+  echo "note: baseline CPU (${base_cpu#cpu: }) != latest CPU (${latest_cpu#cpu: }); ns/op compare is advisory"
   ADVISORY=1
 fi
 
 awk -v thr="$THRESHOLD" -v athr="$ALLOC_THRESHOLD" -v json="$JSON_OUT" -v advisory="$ADVISORY" '
   # Benchmark output lines look like:
   #   BenchmarkName/sub-8   20   12345 ns/op   678 B/op   9 allocs/op
-  # Record the value preceding each unit field, keyed by name.
+  # Record the value preceding each unit field, keyed by the name
+  # without its -N GOMAXPROCS suffix.
   /^Benchmark/ {
+    key = $1
+    sub(/-[0-9]+$/, "", key)
     for (i = 2; i <= NF; i++) {
       if ($i == "ns/op") {
-        if (FILENAME == ARGV[1]) base_ns[$1] = $(i - 1)
-        else latest_ns[$1] = $(i - 1)
+        if (FILENAME == ARGV[1]) base_ns[key] = $(i - 1)
+        else latest_ns[key] = $(i - 1)
       } else if ($i == "allocs/op") {
-        if (FILENAME == ARGV[1]) base_al[$1] = $(i - 1)
-        else latest_al[$1] = $(i - 1)
+        if (FILENAME == ARGV[1]) base_al[key] = $(i - 1)
+        else latest_al[key] = $(i - 1)
       }
     }
     # Remember latest-file encounter order for stable JSON output.
-    if (FILENAME != ARGV[1] && !($1 in seen)) {
-      seen[$1] = 1
-      order[++n] = $1
+    if (FILENAME != ARGV[1] && !(key in seen)) {
+      seen[key] = 1
+      order[++n] = key
     }
   }
 
@@ -125,12 +134,16 @@ awk -v thr="$THRESHOLD" -v athr="$ALLOC_THRESHOLD" -v json="$JSON_OUT" -v adviso
   }
 
   END {
-    fail = 0
+    fail_ns = 0
+    fail_al = 0
+    matched = 0
     printf("{\n  \"thresholds_pct\": {\"ns_per_op\": %s, \"allocs_per_op\": %s},\n", thr, athr) > json
     printf("  \"benchmarks\": [") > json
     nreg = 0
     for (k = 1; k <= n; k++) {
       name = order[k]
+      # Test membership before any base_*[name] reference creates it.
+      if (name in base_ns || name in base_al) matched++
       ns = metric(base_ns[name], latest_ns[name], name in base_ns)
       dns = delta
       al = metric(base_al[name], latest_al[name], name in base_al)
@@ -143,7 +156,7 @@ awk -v thr="$THRESHOLD" -v athr="$ALLOC_THRESHOLD" -v json="$JSON_OUT" -v adviso
         if (dns > thr) {
           printf("REGRESSION ns/op > %s%%: %s\n", thr, name) > "/dev/stderr"
           regs[++nreg] = name " ns/op"
-          fail = 1
+          fail_ns = 1
         }
       }
       if (name in base_al && base_al[name] + 0 != 0) {
@@ -151,15 +164,16 @@ awk -v thr="$THRESHOLD" -v athr="$ALLOC_THRESHOLD" -v json="$JSON_OUT" -v adviso
         if (dal > athr) {
           printf("REGRESSION allocs/op > %s%%: %s\n", athr, name) > "/dev/stderr"
           regs[++nreg] = name " allocs/op"
-          fail = 1
+          fail_al = 1
         }
       }
     }
     printf("\n  ],\n  \"regressions\": [") > json
     for (k = 1; k <= nreg; k++)
       printf("%s\"%s\"", k > 1 ? ", " : "", regs[k]) > json
-    printf("],\n  \"ok\": %s\n}\n", fail ? "false" : "true") > json
-    if (advisory + 0) exit 0
+    fail = fail_al || (fail_ns && !(advisory + 0))
+    printf("],\n  \"matched\": %d,\n  \"ok\": %s\n}\n", matched, fail ? "false" : "true") > json
+    printf("%d of %d latest benchmarks matched a baseline row\n", matched, n)
     exit fail
   }
 ' "$BASELINE" "$LATEST"
