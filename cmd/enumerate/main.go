@@ -5,17 +5,19 @@
 //
 // Usage:
 //
-//	enumerate [-n MAXNODES] [-locs L] [-persize] [-workers W] [-reduce]
+//	enumerate [-n MAXNODES] [-locs L] [-persize] [-workers W]
 //
-// -reduce enumerates canonical representatives only and weights each
-// count by its orbit (isomorphism-class) size; every printed number is
-// identical to the unreduced sweep, but far fewer computations are
-// materialized.
+// Both tables enumerate canonical representatives only and weight each
+// count by its orbit (isomorphism-class) size; every printed number
+// equals a count over the whole universe, but far fewer computations
+// are materialized. The census is the same table as lattice -census
+// and the daemon's POST /v1/enumerate.
 //
 // Exit codes: 0 on success, 2 on usage errors.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	locs := fs.Int("locs", 1, "number of memory locations")
 	perSize := fs.Bool("persize", false, "break counts down by computation size")
 	workers := fs.Int("workers", 0, "parallel sweep workers for the census (0 = GOMAXPROCS)")
-	reduce := fs.Bool("reduce", false, "count canonical representatives only, orbit-weighted (identical totals)")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "enumerate:", err)
 		return 2
 	}
-	code := runCounts(*maxNodes, *locs, *perSize, *workers, *reduce, sess.Rec, stdout)
+	code := runCounts(*maxNodes, *locs, *perSize, *workers, sess.Rec, stdout)
 	if err := sess.Close(code); err != nil {
 		fmt.Fprintln(stderr, "enumerate:", err)
 		if code == 0 {
@@ -63,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec obs.Recorder, stdout io.Writer) int {
+func runCounts(maxNodes, locs int, perSize bool, workers int, rec obs.Recorder, stdout io.Writer) int {
 	if perSize {
 		r := obs.WithRun(rec, "persize")
 		var live *obs.Counters
@@ -74,13 +75,12 @@ func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec o
 		fmt.Fprintf(stdout, "%-6s %-14s %-14s %-12s\n", "size", "computations", "pairs", "max Φ/comp")
 		for n := 0; n <= maxNodes; n++ {
 			comps, pairs, maxObs := 0, 0, 0
-			// count folds one computation (of weight orbit, 1 when
-			// unreduced) into the per-size totals; observer counts are
-			// isomorphism-invariant, so maxObs needs no weighting.
-			count := func(c *computation.Computation, orbit int) bool {
-				comps += orbit
+			// Observer counts are isomorphism-invariant, so maxObs needs
+			// no weighting.
+			enum.EachComputationReduced(n, locs, func(c *computation.Computation, orbit int64) bool {
+				comps += int(orbit)
 				k := observer.Count(c, 0)
-				pairs += k * orbit
+				pairs += k * int(orbit)
 				if k > maxObs {
 					maxObs = k
 				}
@@ -88,16 +88,7 @@ func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec o
 					live.States.Add(1)
 				}
 				return true
-			}
-			if reduce {
-				enum.EachComputationReduced(n, locs, func(c *computation.Computation, orbit int64) bool {
-					return count(c, int(orbit))
-				})
-			} else {
-				enum.EachComputation(n, locs, func(c *computation.Computation) bool {
-					return count(c, 1)
-				})
-			}
+			})
 			fmt.Fprintf(stdout, "%-6d %-14d %-14d %-12d\n", n, comps, pairs, maxObs)
 			if live != nil {
 				live.Done.Add(1)
@@ -108,11 +99,9 @@ func runCounts(maxNodes, locs int, perSize bool, workers int, reduce bool, rec o
 	}
 	r := obs.WithRun(rec, "census")
 	obs.Emit(r, obs.Event{Kind: obs.RunStart, Total: 1})
-	if reduce {
-		fmt.Fprint(stdout, expt.MembershipCensusReducedParallel(maxNodes, locs, workers))
-	} else {
-		fmt.Fprint(stdout, expt.MembershipCensusParallel(maxNodes, locs, workers))
-	}
+	// A sweep under a background context cannot be cut short.
+	table, _ := expt.MembershipCensus(context.Background(), maxNodes, locs, workers, nil)
+	fmt.Fprint(stdout, table)
 	obs.Emit(r, obs.Event{Kind: obs.RunEnd, Str: "OK"})
 	return 0
 }

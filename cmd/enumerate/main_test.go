@@ -2,21 +2,22 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/expt"
+	"repro/internal/computation"
+	"repro/internal/enum"
 	"repro/internal/obs"
+	"repro/internal/observer"
 )
 
 func TestRunCensus(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-n", "3"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
-	}
-	if want := expt.MembershipCensusParallel(3, 1, 0); out.String() != want {
-		t.Errorf("census differs from the library's:\n%q\n%q", out.String(), want)
 	}
 	for _, model := range []string{"SC", "LC", "WW"} {
 		if !strings.Contains(out.String(), model) {
@@ -41,30 +42,40 @@ func TestRunCensusWorkersAgree(t *testing.T) {
 	}
 }
 
+// TestRunPerSize: the per-size table (orbit-weighted over canonical
+// representatives) equals a brute-force count over every computation
+// of the unreduced universe.
 func TestRunPerSize(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-n", "3", "-persize"}, &out, &errb); code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	// Header plus one row per size 0..3.
-	if len(lines) != 5 {
-		t.Fatalf("per-size table has %d lines, want 5:\n%s", len(lines), out.String())
-	}
-	if !strings.HasPrefix(lines[0], "size") {
-		t.Errorf("missing header: %q", lines[0])
-	}
-	// Size 1 with one location: one computation (a single write; a
-	// lone read cannot be observed) per kind — spot-check the row shape.
-	for _, line := range lines[1:] {
-		if fields := strings.Fields(line); len(fields) != 4 {
-			t.Errorf("malformed row %q", line)
+	for _, tc := range []struct{ n, locs int }{{3, 1}, {3, 2}} {
+		var out, errb bytes.Buffer
+		args := []string{"-n", strconv.Itoa(tc.n), "-locs", strconv.Itoa(tc.locs), "-persize"}
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0; stderr: %s", args, code, errb.String())
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		// Header plus one row per size 0..n.
+		if len(lines) != tc.n+2 || !strings.HasPrefix(lines[0], "size") {
+			t.Fatalf("%v: malformed per-size table:\n%s", args, out.String())
+		}
+		for size := 0; size <= tc.n; size++ {
+			comps, pairs, maxObs := 0, 0, 0
+			enum.EachComputation(size, tc.locs, func(c *computation.Computation) bool {
+				k := observer.Count(c, 0)
+				comps++
+				pairs += k
+				maxObs = max(maxObs, k)
+				return true
+			})
+			want := fmt.Sprintf("%d %d %d %d", size, comps, pairs, maxObs)
+			if got := strings.Join(strings.Fields(lines[size+1]), " "); got != want {
+				t.Errorf("%v size %d: row %q, brute force %q", args, size, got, want)
+			}
 		}
 	}
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"positional"}} {
+	for _, args := range [][]string{{"-bogus"}, {"positional"}, {"-reduce"}} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
@@ -93,26 +104,5 @@ func TestRunReport(t *testing.T) {
 	}
 	if !strings.Contains(string(report), "enumerate") {
 		t.Errorf("report does not name the tool: %s", report)
-	}
-}
-
-// TestRunReduceMatches: -reduce must print the exact same tables as the
-// unreduced sweeps (orbit weighting preserves every total).
-func TestRunReduceMatches(t *testing.T) {
-	for _, tc := range [][]string{
-		{"-n", "3"},
-		{"-n", "3", "-persize"},
-		{"-n", "3", "-locs", "2", "-persize"},
-	} {
-		var full, red, errb bytes.Buffer
-		if code := run(tc, &full, &errb); code != 0 {
-			t.Fatalf("%v: exit code = %d; stderr: %s", tc, code, errb.String())
-		}
-		if code := run(append(append([]string{}, tc...), "-reduce"), &red, &errb); code != 0 {
-			t.Fatalf("%v -reduce: exit code = %d; stderr: %s", tc, code, errb.String())
-		}
-		if full.String() != red.String() {
-			t.Errorf("%v: -reduce output differs:\n%s\nvs\n%s", tc, red.String(), full.String())
-		}
 	}
 }

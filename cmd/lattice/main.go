@@ -8,21 +8,23 @@
 //
 // Usage:
 //
-//	lattice [-n MAXNODES] [-locs L] [-reduce] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
+//	lattice [-n MAXNODES] [-locs L] [-census] [-witnesses DIR] [-star NN|WN|NW] [-props MODEL] [-findtrap MODEL]
 //
 // Examples:
 //
 //	lattice -n 4              # full Figure 1 check (default)
-//	lattice -n 5 -reduce      # same check, canonical representatives only
+//	lattice -n 5              # same check one size up
+//	lattice -n 4 -census      # per-model membership counts
 //	lattice -n 4 -star NN     # Theorem 23: NN* = LC on the interior
 //	lattice -n 4 -star WN     # Section 7 open problem probe
 //	lattice -n 3 -props NN    # completeness/monotonicity/constructibility
 //
-// -reduce decides one representative per isomorphism class and weights
-// it by its orbit size: counts, verdicts, and witnesses are identical
-// to the unreduced sweep, but sizes like -n 5 become tractable. It
-// applies to the default check, -census, and -props (the -star and
-// -findtrap iterations mutate computations and have no reduced form).
+// The default check, -census and -props decide one representative per
+// isomorphism class and weight it by its orbit size: counts, verdicts
+// and witnesses equal a check of every pair (the tests pin them to the
+// brute-force enum.Compare), and sizes like -n 5 stay tractable. The
+// -star and -findtrap iterations mutate computations and sweep the
+// unreduced universe.
 //
 // -workers shards the sweep for the default lattice check and -census.
 // The -star/-props/-findtrap experiments run the serial fixpoint code;
@@ -37,6 +39,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -62,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	findtrap := fs.String("findtrap", "", "search for the smallest non-constructibility witness of this model")
 	workers := fs.Int("workers", 0, "parallel sweep workers for the lattice check and -census (0 = GOMAXPROCS)")
 	witnesses := fs.String("witnesses", "testdata/litmus", "directory of committed strictness-witness fixtures re-checked by the lattice check (empty = skip)")
-	reduce := fs.Bool("reduce", false, "sweep canonical representatives only (orbit-weighted); identical output, one isomorphism-class member decided per class")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,20 +87,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// The star fixpoint and trap search mutate computations as they
-	// iterate, which a representative-only sweep cannot express; only
-	// the pure membership sweeps have reduced counterparts.
-	if *reduce && (*star != "" || *findtrap != "") {
-		fmt.Fprintln(stderr, "lattice: -reduce applies only to the default lattice check, -census, and -props")
-		return 2
-	}
 
 	sess, err := obsFlags.Start("lattice", args, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "lattice:", err)
 		return 2
 	}
-	code := runChecked(*maxNodes, *locs, *census, *star, *props, *findtrap, *workers, *reduce, *witnesses, sess.Rec, stdout, stderr)
+	code := runChecked(*maxNodes, *locs, *census, *star, *props, *findtrap, *workers, *witnesses, sess.Rec, stdout, stderr)
 	if err := sess.Close(code); err != nil {
 		fmt.Fprintln(stderr, "lattice:", err)
 		if code == 0 {
@@ -110,9 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runChecked dispatches to the selected experiment and maps its report
 // onto the exit-code convention. rec observes the run: the default
-// lattice check streams per-edge phases and sweep gauges; the other
+// lattice check streams its sweep phases and gauges; the other
 // branches bracket their (serial) experiment in a RunStart/RunEnd pair.
-func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, reduce bool, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
+func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, workers int, witnesses string, rec obs.Recorder, stdout, stderr io.Writer) int {
 	// bracket wraps a serial experiment so -report/-trace sessions see
 	// one run per invocation even off the parallel sweep path.
 	bracket := func(name string, fn func() (string, bool)) int {
@@ -165,31 +160,17 @@ func runChecked(maxNodes, locs int, census bool, star, props, findtrap string, w
 		}
 		m := r.Model
 		return bracket("props "+m.Name(), func() (string, bool) {
-			var rep expt.PropertyReport
-			if reduce {
-				rep = expt.RunPropertiesReduced(m, maxNodes, locs)
-			} else {
-				rep = expt.RunProperties(m, maxNodes, locs)
-			}
+			rep := expt.RunProperties(m, maxNodes, locs)
 			return rep.String(), rep.OK()
 		})
 	case census:
 		return bracket("census", func() (string, bool) {
-			if reduce {
-				return expt.MembershipCensusReducedParallel(maxNodes, locs, workers), true
-			}
-			return expt.MembershipCensusParallel(maxNodes, locs, workers), true
+			// A sweep under a background context cannot be cut short.
+			table, _ := expt.MembershipCensus(context.Background(), maxNodes, locs, workers, nil)
+			return table, true
 		})
-	case reduce:
-		rep := expt.RunLatticeReduced(maxNodes, locs, workers, rec)
-		fmt.Fprint(stdout, rep)
-		code := 0
-		if !rep.AllOK() {
-			code = 1
-		}
-		return checkWitnesses(witnesses, code, stdout, stderr)
 	default:
-		rep := expt.RunLatticeObs(maxNodes, locs, workers, rec)
+		rep := expt.RunLatticeReduced(maxNodes, locs, workers, rec)
 		fmt.Fprint(stdout, rep)
 		code := 0
 		if !rep.AllOK() {

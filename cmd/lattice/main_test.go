@@ -3,10 +3,22 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/computation"
+	"repro/internal/enum"
+	"repro/internal/memmodel"
+	"repro/internal/observer"
+	"repro/internal/serve"
 )
 
 // runLattice runs the CLI and returns (exit code, stdout, stderr).
@@ -146,6 +158,7 @@ func TestUsageErrors(t *testing.T) {
 		{"workers with star", []string{"-workers", "2", "-star", "NN"}},
 		{"workers with props", []string{"-workers", "2", "-props", "SC", "-n", "3"}},
 		{"workers with findtrap", []string{"-workers", "2", "-findtrap", "NN", "-n", "3"}},
+		{"removed -reduce flag", []string{"-n", "3", "-reduce"}},
 	} {
 		if code, out, _ := runLattice(t, tc.args...); code != 2 {
 			t.Errorf("%s: exit code = %d, want 2; output:\n%s", tc.name, code, out)
@@ -208,34 +221,83 @@ func TestTraceFlag(t *testing.T) {
 	}
 }
 
-// TestReduceMatchesUnreduced: the -reduce sweeps must render the exact
-// same bytes as their unreduced counterparts on every branch that
-// supports the flag.
-func TestReduceMatchesUnreduced(t *testing.T) {
-	for _, tc := range [][]string{
-		{"-n", "3"},
-		{"-n", "3", "-workers", "2"},
-		{"-n", "3", "-census"},
-		{"-n", "3", "-props", "SC"},
-	} {
-		fullCode, full, _ := runLattice(t, tc...)
-		redCode, red, _ := runLattice(t, append(append([]string{}, tc...), "-reduce")...)
-		if fullCode != redCode {
-			t.Fatalf("%v: exit code %d with -reduce, %d without", tc, redCode, fullCode)
+// TestCensusFrontendsAgree: the membership census has three
+// frontends — lattice -census, the enumerate CLI and the daemon's
+// POST /v1/enumerate — over one sweep. All three must print the same
+// bytes, equal to a table counted here by brute force over every pair
+// of the unreduced universe with each registered model's Contains.
+func TestCensusFrontendsAgree(t *testing.T) {
+	enumerateBin := filepath.Join(t.TempDir(), "enumerate")
+	// go test puts its own toolchain first on the PATH.
+	build := exec.Command("go", "build", "-o", enumerateBin, "repro/cmd/enumerate")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/enumerate: %v\n%s", err, out)
+	}
+	srv := httptest.NewServer(serve.New(serve.Config{CacheBytes: 1 << 20}).Handler())
+	defer srv.Close()
+
+	for _, sz := range []struct{ n, locs int }{{3, 1}, {2, 2}} {
+		n, locs := strconv.Itoa(sz.n), strconv.Itoa(sz.locs)
+		want := oracleCensus(sz.n, sz.locs)
+
+		code, lattice, errb := runLattice(t, "-n", n, "-locs", locs, "-census")
+		if code != 0 {
+			t.Fatalf("lattice -census: exit %d: %s", code, errb)
 		}
-		if full != red {
-			t.Fatalf("%v: -reduce output differs:\n%s\nvs\n%s", tc, red, full)
+		enumerate, err := exec.Command(enumerateBin, "-n", n, "-locs", locs).Output()
+		if err != nil {
+			t.Fatalf("enumerate: %v", err)
+		}
+		body, err := json.Marshal(serve.EnumerateRequest{MaxNodes: sz.n, Locs: sz.locs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/enumerate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er serve.EnumerateResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/enumerate: %d %v", resp.StatusCode, err)
+		}
+
+		for _, got := range []struct{ name, out string }{
+			{"lattice -census", lattice},
+			{"enumerate", string(enumerate)},
+			{"POST /v1/enumerate", er.Census},
+		} {
+			if got.out != want {
+				t.Errorf("n=%d locs=%d: %s differs from the brute-force census:\n%s\nwant:\n%s",
+					sz.n, sz.locs, got.name, got.out, want)
+			}
 		}
 	}
 }
 
-func TestReduceRejectedOnMutatingBranches(t *testing.T) {
-	for _, args := range [][]string{
-		{"-n", "3", "-reduce", "-star", "NN"},
-		{"-n", "3", "-reduce", "-findtrap", "NN"},
-	} {
-		if code, out, _ := runLattice(t, args...); code != 2 {
-			t.Errorf("%v: exit code = %d, want 2; output:\n%s", args, code, out)
+// oracleCensus renders the census table from a brute-force count:
+// rows ascending by count, equal counts in registry order.
+func oracleCensus(maxNodes, numLocs int) string {
+	rows := memmodel.Registry()
+	counts := make([]int, len(rows))
+	total := enum.EachPair(maxNodes, numLocs, func(c *computation.Computation, o *observer.Observer) bool {
+		for i, r := range rows {
+			if r.Model.Contains(c, o) {
+				counts[i]++
+			}
 		}
+		return true
+	})
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] < counts[order[b]] })
+	var b strings.Builder
+	fmt.Fprintf(&b, "membership census over ≤%d nodes, %d location(s): %d pairs total\n", maxNodes, numLocs, total)
+	for _, i := range order {
+		fmt.Fprintf(&b, "  %-4s %8d\n", rows[i].Model.Name(), counts[i])
+	}
+	return b.String()
 }

@@ -64,11 +64,6 @@ var kindNames = [numKinds]string{
 	CorruptRead:    "corrupt-read",
 }
 
-// AllKinds lists every fault kind in codec order.
-func AllKinds() []Kind {
-	return []Kind{SkipReconcile, DelayReconcile, SkipFlush, CrashCache, CorruptRead}
-}
-
 // String returns the codec spelling of the kind.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

@@ -121,9 +121,6 @@ type Relation struct {
 	Both         int            // pairs in both
 	WitnessAOnly *memmodel.Pair // example in A \ B, if any
 	WitnessBOnly *memmodel.Pair // example in B \ A, if any
-	// Witness enumeration ranks, used by the parallel merges to keep
-	// the globally-first witness independent of the worker count.
-	rankAOnly, rankBOnly pairRank
 }
 
 // Equal reports A = B over the universe.
@@ -136,11 +133,30 @@ func (r Relation) StrictlyStronger() bool { return r.AOnly == 0 && r.BOnly > 0 }
 func (r Relation) Incomparable() bool { return r.AOnly > 0 && r.BOnly > 0 }
 
 // Compare computes the Relation between models a and b over the
-// universe of all pairs up to maxNodes nodes and numLocs locations.
+// universe of all pairs up to maxNodes nodes and numLocs locations,
+// deciding every pair of the unreduced universe with both models'
+// Contains. It is the brute-force oracle the reduced pattern sweep
+// (PatternSweepParallel) is tested against; its witnesses are the
+// enumeration-first pairs on each side.
 func Compare(a, b memmodel.Model, maxNodes, numLocs int) Relation {
 	var r Relation
 	EachPair(maxNodes, numLocs, func(c *computation.Computation, o *observer.Observer) bool {
-		compareInto(&r, a, b, c, o, 1, pairRank{})
+		inA := a.Contains(c, o)
+		inB := b.Contains(c, o)
+		switch {
+		case inA && inB:
+			r.Both++
+		case inA:
+			r.AOnly++
+			if r.WitnessAOnly == nil {
+				r.WitnessAOnly = &memmodel.Pair{C: c, O: o.Clone()}
+			}
+		case inB:
+			r.BOnly++
+			if r.WitnessBOnly == nil {
+				r.WitnessBOnly = &memmodel.Pair{C: c, O: o.Clone()}
+			}
+		}
 		return true
 	})
 	return r

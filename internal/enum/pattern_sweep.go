@@ -1,15 +1,24 @@
 package enum
 
-// This file implements the single-pass reduced lattice sweep: instead
-// of one universe sweep per Figure-1 edge (each deciding two models per
-// pair), one sweep over canonical representatives classifies every pair
-// into its 6-bit membership pattern with a pooled memmodel
-// PatternDecider, and every edge's Relation falls out of the
-// orbit-weighted pattern census. Witnesses stay byte-identical to the
-// per-edge unreduced sweeps: within a shard the first pair on each side
-// of an edge is kept, and the merge takes the globally rank-minimal one
-// (same argument as reduced.go — the enumeration-first witness-bearing
-// computation is necessarily canonical).
+// This file implements the universe sweep behind the lattice, census
+// and cmd surfaces: instead of one sweep per Figure-1 edge (each
+// deciding two models per pair), one sweep over canonical
+// representatives classifies every pair into its membership pattern
+// with a pooled memmodel PatternDecider, and every edge's Relation
+// falls out of the orbit-weighted pattern census. Witnesses stay
+// byte-identical to the serial oracle Compare run once per edge: within
+// a shard the first pair on each side of an edge is kept, and the merge
+// takes the globally rank-minimal one (same argument as reduced.go —
+// the enumeration-first witness-bearing computation is necessarily
+// canonical).
+//
+// The universe of dags on n nodes is indexed by an edge bitmask, so it
+// shards trivially: worker w handles the masks congruent to w modulo
+// the worker count. Each worker owns private accumulators and writes
+// them into a shard-indexed slice; the merge folds that slice by
+// global enumeration rank, not by completion or shard order, so the
+// whole sweep — witnesses included — is a pure function of the
+// universe, equal to the serial oracle's for any worker count.
 
 import (
 	"context"
@@ -28,11 +37,44 @@ import (
 // to relate.
 type PatternEdge struct{ A, B uint16 }
 
+// ctxPollMask throttles ctx polling to every 256 pairs: an Err() call
+// is cheap but not free, and pair visits are nanoseconds each. The
+// sweeps are exponential in the node bound, so a caller that exposes
+// them (experiments, CLIs, the daemon) needs a way to abandon a size
+// that turned out too big.
+const ctxPollMask = 255
+
+// pairRank is a pair's position in the global enumeration order:
+// computation size, then dag mask index, then labeling index. Within
+// one computation every shard scans observers in the same order, so
+// computation granularity suffices to order shard-first witnesses.
+type pairRank struct {
+	set   bool
+	n     int32
+	dag   uint64
+	label uint64
+}
+
+// less orders set ranks by enumeration position; an unset rank never
+// wins.
+func (a pairRank) less(b pairRank) bool {
+	if a.set != b.set {
+		return a.set
+	}
+	if a.n != b.n {
+		return a.n < b.n
+	}
+	if a.dag != b.dag {
+		return a.dag < b.dag
+	}
+	return a.label < b.label
+}
+
 // PatternSweep is the result of one reduced pattern sweep.
 type PatternSweep struct {
 	// Edges holds one Relation per requested PatternEdge, with counts
 	// over the whole universe and witnesses equal to the ones the
-	// unreduced per-edge Compare would report.
+	// unreduced per-edge Compare reports.
 	Edges []Relation
 	// Counts is the orbit-weighted census: Counts[p] is the number of
 	// universe pairs whose membership pattern, restricted to the decided
@@ -60,13 +102,15 @@ type edgeWitness struct {
 // canonical representatives (orbit-weighted), sharded over workers
 // (<= 0 means GOMAXPROCS). Only the pattern bits the edges read are
 // decided (every bit when edges is empty, the census). Edge relations
-// and witnesses are identical to running the unreduced
-// CompareParallelObs once per edge, for every worker count. The
-// recorder (nil = off) sees a RunStart with live gauges (decided pairs
-// as States), one WorkerDone per shard, and a RunEnd; WorkerDone and
-// RunEnd stats carry the symmetry gauges (Orbits = universe
-// computations covered, SymmetrySkipped = computations never
-// materialized).
+// and witnesses are identical to running the serial oracle Compare
+// once per edge, for every worker count. Every worker polls ctx; on
+// cancellation the sweep returns promptly, with no goroutine left
+// behind, and reports ctx.Err() beside a partial result the caller
+// must discard. The recorder (nil = off) sees a RunStart with live
+// gauges (decided pairs as States), one WorkerDone per shard, and a
+// RunEnd; WorkerDone and RunEnd stats carry the symmetry gauges
+// (Orbits = universe computations covered, SymmetrySkipped =
+// computations never materialized).
 func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, numLocs, workers int, rec obs.Recorder) (PatternSweep, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -201,8 +245,8 @@ func PatternSweepParallel(ctx context.Context, edges []PatternEdge, maxNodes, nu
 				r.BOnly += int(n)
 			}
 		}
-		r.WitnessAOnly, r.rankAOnly = wits[ei].aPair, wits[ei].aRank
-		r.WitnessBOnly, r.rankBOnly = wits[ei].bPair, wits[ei].bRank
+		r.WitnessAOnly = wits[ei].aPair
+		r.WitnessBOnly = wits[ei].bPair
 	}
 	if rec != nil {
 		obs.Emit(rec, obs.Event{Kind: obs.RunEnd,

@@ -2,10 +2,184 @@ package enum
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/computation"
 	"repro/internal/memmodel"
+	"repro/internal/obs"
+	"repro/internal/observer"
 )
+
+// witnessKey fingerprints a witness pair for cross-run comparison.
+func witnessKey(p *memmodel.Pair) string {
+	if p == nil {
+		return "<none>"
+	}
+	return p.C.String() + " / " + p.O.String()
+}
+
+// edgeOf builds the PatternEdge relating two registered models.
+func edgeOf(t *testing.T, a, b string) PatternEdge {
+	t.Helper()
+	ra, okA := memmodel.Lookup(a)
+	rb, okB := memmodel.Lookup(b)
+	if !okA || !okB {
+		t.Fatalf("unknown model %q or %q", a, b)
+	}
+	return PatternEdge{A: ra.Bit, B: rb.Bit}
+}
+
+// sameRelation reports whether two relations agree on every count and
+// byte-for-byte on both witnesses.
+func sameRelation(a, b Relation) bool {
+	return a.AOnly == b.AOnly && a.BOnly == b.BOnly && a.Both == b.Both &&
+		witnessKey(a.WitnessAOnly) == witnessKey(b.WitnessAOnly) &&
+		witnessKey(a.WitnessBOnly) == witnessKey(b.WitnessBOnly)
+}
+
+// TestPatternSweepMatchesCompare: the reduced, sharded sweep reproduces
+// the serial brute-force oracle Compare on every edge — counts and
+// byte-identical witnesses — and its pair total equals the unreduced
+// universe's, for every worker count (0 = GOMAXPROCS).
+func TestPatternSweepMatchesCompare(t *testing.T) {
+	names := [][2]string{{"SC", "LC"}, {"LC", "NN"}, {"NW", "WN"}, {"TSO", "RA"}}
+	sizes := []struct{ n, locs int }{{2, 2}, {3, 1}}
+	if !testing.Short() {
+		sizes = append(sizes, struct{ n, locs int }{4, 1})
+	}
+	for _, sz := range sizes {
+		edges := make([]PatternEdge, len(names))
+		want := make([]Relation, len(names))
+		for i, nm := range names {
+			edges[i] = edgeOf(t, nm[0], nm[1])
+			ra, _ := memmodel.Lookup(nm[0])
+			rb, _ := memmodel.Lookup(nm[1])
+			want[i] = Compare(ra.Model, rb.Model, sz.n, sz.locs)
+		}
+		pairs := EachPair(sz.n, sz.locs, func(*computation.Computation, *observer.Observer) bool { return true })
+		for _, workers := range []int{0, 1, 2, 5} {
+			got, err := PatternSweepParallel(context.Background(), edges, sz.n, sz.locs, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Pairs != int64(pairs) {
+				t.Fatalf("n=%d locs=%d workers=%d: sweep covers %d pairs, universe has %d",
+					sz.n, sz.locs, workers, got.Pairs, pairs)
+			}
+			for i, nm := range names {
+				if r := got.Edges[i]; !sameRelation(r, want[i]) {
+					t.Fatalf("n=%d locs=%d workers=%d %s vs %s: sweep (%d,%d,%d) A: %s B: %s\n  oracle (%d,%d,%d) A: %s B: %s",
+						sz.n, sz.locs, workers, nm[0], nm[1],
+						r.AOnly, r.BOnly, r.Both, witnessKey(r.WitnessAOnly), witnessKey(r.WitnessBOnly),
+						want[i].AOnly, want[i].BOnly, want[i].Both, witnessKey(want[i].WitnessAOnly), witnessKey(want[i].WitnessBOnly))
+				}
+			}
+		}
+	}
+}
+
+// TestPatternSweepWitnessDeterminism: the reported witnesses are a pure
+// function of the universe, equal to the serial oracle's for every
+// worker count and on every repetition. This regression-tests the
+// completion-order merge bug — a channel merge reported whichever
+// shard's witness arrived first, so NW vs WN (witnesses on both sides,
+// spread across shards) flapped under scheduler noise. Repetitions
+// under -race give the scheduler room to expose any order dependence.
+func TestPatternSweepWitnessDeterminism(t *testing.T) {
+	// NW vs WN on the n=4, L=1 universe is incomparable, so both
+	// witnesses exist and the one-sided pairs span many shards.
+	want := Compare(memmodel.NW, memmodel.WN, 4, 1)
+	if want.WitnessAOnly == nil || want.WitnessBOnly == nil {
+		t.Fatalf("NW vs WN should be incomparable with witnesses: %+v", want)
+	}
+	edges := []PatternEdge{edgeOf(t, "NW", "WN")}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for rep := 0; rep < 3; rep++ {
+			got, err := PatternSweepParallel(context.Background(), edges, 4, 1, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := got.Edges[0]; !sameRelation(r, want) {
+				t.Fatalf("workers=%d rep=%d: witnesses differ from the serial oracle:\n  A: %s vs %s\n  B: %s vs %s",
+					workers, rep, witnessKey(r.WitnessAOnly), witnessKey(want.WitnessAOnly),
+					witnessKey(r.WitnessBOnly), witnessKey(want.WitnessBOnly))
+			}
+		}
+	}
+}
+
+// liveRecorder hands the sweep's live gauges to the test.
+type liveRecorder struct{ live atomic.Pointer[obs.Counters] }
+
+func (r *liveRecorder) Record(ev obs.Event) {
+	if ev.Kind == obs.RunStart {
+		r.live.Store(ev.Live)
+	}
+}
+
+// TestPatternSweepCancel: a sweep under an already-cancelled context
+// and one cancelled mid-flight both return ctx.Err() promptly, and no
+// worker goroutine outlives the call.
+func TestPatternSweepCancel(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const workers = 4
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pre, err := PatternSweepParallel(ctx, nil, 4, 1, workers, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled sweep: err = %v, want context.Canceled", err)
+	}
+	// Each worker polls ctx after at most ctxPollMask+1 pairs.
+	if limit := int64(workers * (ctxPollMask + 1)); pre.RepPairs > limit {
+		t.Fatalf("pre-cancelled sweep decided %d pairs, more than one poll window per worker (%d)", pre.RepPairs, limit)
+	}
+
+	// Mid-sweep: n=5 takes seconds; cancel once the workers have
+	// published progress.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	rec := &liveRecorder{}
+	type result struct {
+		sweep PatternSweep
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		s, err := PatternSweepParallel(ctx, nil, 5, 1, 2, rec)
+		done <- result{s, err}
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if live := rec.live.Load(); live != nil && live.States.Load() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sweep published no progress")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case res := <-done:
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", res.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep did not return within 10s of cancellation")
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after the sweeps, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
 
 // TestPatternSweepEdgesMatchCensus: a sweep given edges decides only
 // the bits those edges read, yet every edge's Relation must equal the

@@ -1,8 +1,8 @@
 package enum
 
-// This file implements the symmetry-reduced sweeps: enumerate one
-// canonical representative per isomorphism class and multiply
-// per-computation counts by the class's orbit size instead of
+// This file implements the symmetry-reduced enumeration: one canonical
+// representative per isomorphism class, passed with the class's orbit
+// size so a sweep multiplies per-computation counts by it instead of
 // re-deciding every member.
 //
 // Every model and property swept by this repository is
@@ -15,17 +15,13 @@ package enum
 // canonical — its representative precedes it in enumeration order and
 // carries an isomorphic witness, so being first forces the two to
 // coincide — and observer enumeration within a computation is shared
-// by both paths. Reduced sweeps therefore report byte-identical
-// witnesses to the unreduced sweeps, not merely isomorphic ones.
+// by both enumerations. Reduced sweeps therefore report byte-identical
+// witnesses to the unreduced oracle Compare, not merely isomorphic
+// ones.
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/computation"
 	"repro/internal/dag"
-	"repro/internal/memmodel"
-	"repro/internal/observer"
 )
 
 // EachComputationReduced enumerates one canonical representative per
@@ -111,73 +107,4 @@ func eachComputationReducedShard(n, numLocs, shard, shards int, fn func(c *compu
 		rec(0, 0)
 		return !stopped
 	})
-}
-
-// CompareReduced computes the Relation between two isomorphism-
-// invariant models over the universe up to maxNodes nodes by deciding
-// only canonical representatives and scaling by orbit. Counts equal
-// Compare's exactly; the witnesses are byte-identical to Compare's
-// (see the file comment for the argument).
-func CompareReduced(a, b memmodel.Model, maxNodes, numLocs int) Relation {
-	var r Relation
-	for n := 0; n <= maxNodes; n++ {
-		eachComputationReducedShard(n, numLocs, 0, 1, func(c *computation.Computation, orbit int64, dagIdx, labelIdx uint64) bool {
-			rank := pairRank{set: true, n: int32(n), dag: dagIdx, label: labelIdx}
-			observer.Enumerate(c, func(o *observer.Observer) bool {
-				compareInto(&r, a, b, c, o, int(orbit), rank)
-				return true
-			})
-			return true
-		})
-	}
-	return r
-}
-
-// CensusReducedParallel counts, for each isomorphism-invariant model,
-// the universe pairs it contains, plus the universe pair total,
-// deciding only canonical representatives. Results equal
-// CensusParallel's exactly.
-func CensusReducedParallel(models []memmodel.Model, maxNodes, numLocs, workers int) ([]int, int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type shardCount struct {
-		counts []int
-		total  int
-	}
-	results := make([]shardCount, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			counts := make([]int, len(models))
-			total := 0
-			for n := 0; n <= maxNodes; n++ {
-				eachComputationReducedShard(n, numLocs, shard, workers, func(c *computation.Computation, orbit int64, _, _ uint64) bool {
-					observer.Enumerate(c, func(o *observer.Observer) bool {
-						total += int(orbit)
-						for i, m := range models {
-							if m.Contains(c, o) {
-								counts[i] += int(orbit)
-							}
-						}
-						return true
-					})
-					return true
-				})
-			}
-			results[shard] = shardCount{counts: counts, total: total}
-		}(w)
-	}
-	wg.Wait()
-	out := make([]int, len(models))
-	total := 0
-	for _, r := range results {
-		total += r.total
-		for i, c := range r.counts {
-			out[i] += c
-		}
-	}
-	return out, total
 }

@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/computation"
@@ -174,66 +175,40 @@ func eachTopoPerm(d *dag.Dag, fn func(perm []dag.Node)) {
 	rec(0)
 }
 
-// TestCompareReducedMatchesCompare: the reduced sweep must reproduce
-// the unreduced counts exactly and the witnesses byte-for-byte at
-// every size both paths run.
-func TestCompareReducedMatchesCompare(t *testing.T) {
-	pairs := []struct{ a, b memmodel.Model }{
-		{memmodel.SC, memmodel.LC},
-		{memmodel.NW, memmodel.WN},
-		{memmodel.LC, memmodel.NN},
-	}
-	maxNodes := 4
-	if testing.Short() {
-		maxNodes = 3
-	}
-	for _, mp := range pairs {
-		for n := 2; n <= maxNodes; n++ {
-			seq := Compare(mp.a, mp.b, n, 1)
-			red := CompareReduced(mp.a, mp.b, n, 1)
-			if red.AOnly != seq.AOnly || red.BOnly != seq.BOnly || red.Both != seq.Both {
-				t.Fatalf("n=%d %T vs %T: reduced counts (%d,%d,%d) != unreduced (%d,%d,%d)",
-					n, mp.a, mp.b, red.AOnly, red.BOnly, red.Both, seq.AOnly, seq.BOnly, seq.Both)
-			}
-			if witnessKey(red.WitnessAOnly) != witnessKey(seq.WitnessAOnly) ||
-				witnessKey(red.WitnessBOnly) != witnessKey(seq.WitnessBOnly) {
-				t.Fatalf("n=%d: reduced witnesses differ:\n  A: %s\n  vs %s\n  B: %s\n  vs %s", n,
-					witnessKey(red.WitnessAOnly), witnessKey(seq.WitnessAOnly),
-					witnessKey(red.WitnessBOnly), witnessKey(seq.WitnessBOnly))
-			}
-		}
-	}
-}
-
-// TestCompareParallelMatchesSerialWitnesses: with rank merging the
-// unreduced parallel witnesses equal the serial ones for every worker
-// count (not merely stable per count).
-func TestCompareParallelMatchesSerialWitnesses(t *testing.T) {
-	seq := Compare(memmodel.NW, memmodel.WN, 4, 1)
-	for _, workers := range []int{1, 2, 3, 8} {
-		par := compareParallel(memmodel.NW, memmodel.WN, 4, 1, workers)
-		if witnessKey(par.WitnessAOnly) != witnessKey(seq.WitnessAOnly) ||
-			witnessKey(par.WitnessBOnly) != witnessKey(seq.WitnessBOnly) {
-			t.Fatalf("workers=%d: parallel witnesses differ from serial:\n  A: %s vs %s\n  B: %s vs %s",
-				workers, witnessKey(par.WitnessAOnly), witnessKey(seq.WitnessAOnly),
-				witnessKey(par.WitnessBOnly), witnessKey(seq.WitnessBOnly))
-		}
-	}
-}
-
-// TestReducedCensusAndPairCounts: reduced census and pair totals equal
-// the unreduced ones.
+// TestReducedCensusAndPairCounts: the reduced census sweep's
+// per-model counts (folded from the pattern census) and its pair total
+// equal the brute-force counts over the unreduced universe, for every
+// worker count.
 func TestReducedCensusAndPairCounts(t *testing.T) {
-	models := []memmodel.Model{memmodel.SC, memmodel.LC, memmodel.NN, memmodel.WW}
-	wantCounts, wantTotal := CensusParallel(models, 3, 1, 2)
-	for _, workers := range []int{1, 3} {
-		gotCounts, gotTotal := CensusReducedParallel(models, 3, 1, workers)
-		if gotTotal != wantTotal {
-			t.Fatalf("workers=%d: reduced census total %d != %d", workers, gotTotal, wantTotal)
+	rows := memmodel.Registry()
+	want := make([]int64, len(rows))
+	var wantTotal int64
+	EachPair(3, 1, func(c *computation.Computation, o *observer.Observer) bool {
+		wantTotal++
+		for i, r := range rows {
+			if r.Model.Contains(c, o) {
+				want[i]++
+			}
 		}
-		for i := range models {
-			if gotCounts[i] != wantCounts[i] {
-				t.Fatalf("workers=%d model %d: reduced count %d != %d", workers, i, gotCounts[i], wantCounts[i])
+		return true
+	})
+	for _, workers := range []int{1, 3} {
+		sweep, err := PatternSweepParallel(context.Background(), nil, 3, 1, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sweep.Pairs != wantTotal {
+			t.Fatalf("workers=%d: reduced census total %d != %d", workers, sweep.Pairs, wantTotal)
+		}
+		for i, r := range rows {
+			var got int64
+			for p, n := range sweep.Counts {
+				if uint16(p)&r.Bit != 0 {
+					got += n
+				}
+			}
+			if got != want[i] {
+				t.Fatalf("workers=%d %s: reduced count %d != %d", workers, r.Model.Name(), got, want[i])
 			}
 		}
 	}

@@ -42,8 +42,8 @@ type Edge struct {
 // nodes and numLocs locations: at or above the edge's witness size the
 // classification must match Want exactly; below it, "⊊" degrades to
 // the inclusion half (A∖B must still be empty) and an incomparability
-// claim is unfalsifiable. This is the one shared judgment both lattice
-// runners apply, so the reduced and unreduced reports cannot drift.
+// claim is unfalsifiable. The lattice run and its tests share this one
+// judgment, so the report and the oracle cannot drift.
 func edgeOK(e Edge, r enum.Relation, maxNodes, numLocs int) (got string, ok bool) {
 	got = classify(r)
 	ok = got == e.Want
@@ -130,67 +130,27 @@ func classify(r enum.Relation) string {
 	}
 }
 
-// RunLattice machine-checks every Figure 1 edge over the universe of
-// all computations with at most maxNodes nodes and numLocs locations.
-// The SC/LC edge needs numLocs ≥ 2 to be strict; RunLattice uses
-// max(numLocs, 2) for that edge only, matching the paper's remark that
-// SC ⊋ LC "as long as there is more than one location".
-func RunLattice(maxNodes, numLocs int) LatticeReport {
-	return RunLatticeParallel(maxNodes, numLocs, 1)
-}
-
-// RunLatticeParallel is RunLattice with each edge's sweep distributed
-// over the given number of worker goroutines (<= 0 means GOMAXPROCS).
-func RunLatticeParallel(maxNodes, numLocs, workers int) LatticeReport {
-	return RunLatticeObs(maxNodes, numLocs, workers, nil)
-}
-
-// RunLatticeObs is RunLatticeParallel with observability: rec receives
-// one PhaseStart per Figure 1 edge, and each edge's sweep runs under a
-// per-edge run label ("A vs B"), so progress lines and trace timelines
-// show which relation is currently being checked. A nil rec is exactly
-// RunLatticeParallel.
-func RunLatticeObs(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeReport {
-	rep := LatticeReport{MaxNodes: maxNodes, NumLocs: numLocs}
-	rep.Pairs = enum.CountPairsParallel(maxNodes, numLocs, workers)
-	for _, e := range LatticeEdges() {
-		a, b := mustLookup(e.A).Model, mustLookup(e.B).Model
-		locs := numLocs
-		if e.A == "SC" && e.B == "LC" && locs < 2 {
-			locs = 2
-		}
-		label := e.A + " vs " + e.B
-		obs.Emit(rec, obs.Event{Kind: obs.PhaseStart, Str: label})
-		r, _ := enum.CompareParallelObs(context.Background(), a, b, maxNodes, locs, workers,
-			obs.WithRun(rec, label))
-		got, ok := edgeOK(e, r, maxNodes, numLocs)
-		rep.Edges = append(rep.Edges, EdgeResult{
-			Edge:     e,
-			Relation: r,
-			Got:      got,
-			OK:       ok,
-		})
-	}
-	return rep
-}
-
 // sclcAuxMaxNodes caps the auxiliary two-location universe behind the
-// SC/LC edge in reduced lattice runs. The edge's strictness already
-// manifests at 2 nodes (its MinNodes), the auxiliary universe grows
-// ~40× per added node, and SC needs engine searches whenever L ≥ 2 —
-// so past this size the auxiliary sweep would dwarf the main one while
-// adding no information. The cap only binds above the largest size the
-// unreduced path ever ran, so reduced and unreduced reports stay
-// identical wherever both exist.
+// SC/LC edge in one-location lattice runs. The edge's strictness
+// already manifests at 2 nodes (its MinNodes), the auxiliary universe
+// grows ~40× per added node, and SC needs engine searches whenever
+// L ≥ 2 — so past this size the auxiliary sweep would dwarf the main
+// one while adding no information.
 const sclcAuxMaxNodes = 4
 
-// RunLatticeReduced is RunLatticeObs on the symmetry-reduced universe:
-// one fused sweep classifies every canonical representative pair into
-// its 6-model membership pattern (memmodel.PatternDecider) and every
-// Figure 1 edge's relation is derived from the orbit-weighted pattern
-// census. Counts and witnesses equal RunLatticeObs's exactly, with one
-// carve-out: when maxNodes exceeds sclcAuxMaxNodes the SC/LC edge's
-// auxiliary two-location universe is capped there (see the constant).
+// RunLatticeReduced machine-checks every lattice edge (LatticeEdges)
+// over the universe of all computations with at most maxNodes nodes and
+// numLocs locations, sharded over workers (<= 0 means GOMAXPROCS). One
+// symmetry-reduced sweep classifies every canonical representative pair
+// into its membership pattern (memmodel.PatternDecider), and every
+// edge's relation is derived from the orbit-weighted pattern census;
+// counts and witnesses equal the serial oracle enum.Compare's run once
+// per edge. The SC/LC edge needs numLocs ≥ 2 to be strict (the paper's
+// remark that SC ⊋ LC "as long as there is more than one location"),
+// so at one location that edge alone is re-swept over two locations,
+// capped at sclcAuxMaxNodes nodes. rec (nil = off) sees a "pattern
+// sweep" phase, plus an "SC vs LC" phase for the auxiliary sweep, each
+// a run of PatternSweepParallel events.
 func RunLatticeReduced(maxNodes, numLocs, workers int, rec obs.Recorder) LatticeReport {
 	edges := LatticeEdges()
 	pes := make([]enum.PatternEdge, len(edges))
@@ -356,61 +316,28 @@ type PropertyReport struct {
 }
 
 // RunProperties machine-checks completeness, monotonicity, and the
-// Theorem 12 augmentation criterion for m over the universe.
+// Theorem 12 augmentation criterion for m over the universe. Every
+// checked property is isomorphism-invariant, so it checks canonical
+// representatives only and scales the counts by orbit; the report —
+// FirstFailure included, since the enumeration-first failing
+// computation is necessarily canonical (its representative fails too
+// and precedes it) — equals a check of every computation.
 func RunProperties(m memmodel.Model, maxNodes, numLocs int) PropertyReport {
-	rep := PropertyReport{
-		Model: m.Name(), MaxNodes: maxNodes, NumLocs: numLocs,
-		Complete: true, Monotonic: true, ConstructibleAug: true,
-	}
-	ops := computation.AllOps(numLocs)
-	enum.EachComputationUpTo(maxNodes, numLocs, func(c *computation.Computation) bool {
-		rep.Computations++
-		if rep.Complete && !memmodel.HasObserver(m, c) {
-			rep.Complete = false
-			if rep.FirstFailure == "" {
-				rep.FirstFailure = fmt.Sprintf("incomplete at %v", c)
-			}
-		}
-		observer.Enumerate(c, func(o *observer.Observer) bool {
-			if !m.Contains(c, o) {
-				return true
-			}
-			rep.Pairs++
-			if rep.Monotonic && !memmodel.MonotonicAt(m, c, o) {
-				rep.Monotonic = false
-				if rep.FirstFailure == "" {
-					rep.FirstFailure = fmt.Sprintf("non-monotonic at %v / %v", c, o)
-				}
-			}
-			if rep.ConstructibleAug {
-				if op, ok := memmodel.ConstructibleAtAug(m, c, o.Clone(), ops); !ok {
-					rep.ConstructibleAug = false
-					if rep.FirstFailure == "" {
-						rep.FirstFailure = fmt.Sprintf("aug by %s fails at %v / %v", op, c, o)
-					}
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return rep
+	return runProperties(m, maxNodes, numLocs, enum.EachComputationReducedUpTo)
 }
 
-// RunPropertiesReduced is RunProperties on the symmetry-reduced
-// universe: every checked property is isomorphism-invariant, so
-// checking canonical representatives and scaling the counts by orbit
-// yields the identical report — including FirstFailure, since the
-// enumeration-first failing computation is necessarily canonical (its
-// representative fails too and precedes it).
-func RunPropertiesReduced(m memmodel.Model, maxNodes, numLocs int) PropertyReport {
+// runProperties is RunProperties over the computations each visits,
+// each weighted by its class size. Tests pass the unreduced enumeration
+// with weight 1 as the oracle.
+func runProperties(m memmodel.Model, maxNodes, numLocs int,
+	each func(maxNodes, numLocs int, fn func(c *computation.Computation, weight int64) bool) int) PropertyReport {
 	rep := PropertyReport{
 		Model: m.Name(), MaxNodes: maxNodes, NumLocs: numLocs,
 		Complete: true, Monotonic: true, ConstructibleAug: true,
 	}
 	ops := computation.AllOps(numLocs)
-	enum.EachComputationReducedUpTo(maxNodes, numLocs, func(c *computation.Computation, orbit int64) bool {
-		rep.Computations += int(orbit)
+	each(maxNodes, numLocs, func(c *computation.Computation, weight int64) bool {
+		rep.Computations += int(weight)
 		if rep.Complete && !memmodel.HasObserver(m, c) {
 			rep.Complete = false
 			if rep.FirstFailure == "" {
@@ -421,7 +348,7 @@ func RunPropertiesReduced(m memmodel.Model, maxNodes, numLocs int) PropertyRepor
 			if !m.Contains(c, o) {
 				return true
 			}
-			rep.Pairs += int(orbit)
+			rep.Pairs += int(weight)
 			if rep.Monotonic && !memmodel.MonotonicAt(m, c, o) {
 				rep.Monotonic = false
 				if rep.FirstFailure == "" {
@@ -498,36 +425,16 @@ func FindTrap(m memmodel.Model, maxNodes, numLocs int) (Trap, bool) {
 	return trap, found
 }
 
-// MembershipCensus counts, for every model, the pairs it contains in
-// the universe, as a quick overview table.
-func MembershipCensus(maxNodes, numLocs int) string {
-	return MembershipCensusParallel(maxNodes, numLocs, 1)
-}
-
-// MembershipCensusParallel is MembershipCensus with the sweep sharded
-// over workers (<= 0 means GOMAXPROCS). Counts are order-independent,
-// so the table is identical for every worker count.
-func MembershipCensusParallel(maxNodes, numLocs, workers int) string {
-	counts, total := enum.CensusParallel(registryModels(), maxNodes, numLocs, workers)
-	return censusTable(counts, total, maxNodes, numLocs)
-}
-
-// MembershipCensusReducedParallel is MembershipCensusParallel deciding
-// only canonical representatives and weighting each by its orbit size;
-// the rendered table is identical to the unreduced one.
-func MembershipCensusReducedParallel(maxNodes, numLocs, workers int) string {
-	counts, total := enum.CensusReducedParallel(registryModels(), maxNodes, numLocs, workers)
-	return censusTable(counts, total, maxNodes, numLocs)
-}
-
-// MembershipCensusReducedObs is the reduced census as an observable,
-// cancellable sweep: one fused pattern pass over canonical
-// representatives (the per-model counts fall out of the orbit-weighted
-// pattern census), reporting progress and symmetry gauges to rec under
-// the run label "census". The table equals the unreduced one; err is
-// ctx's error when the sweep was cut short (the partial table must
-// then be discarded).
-func MembershipCensusReducedObs(ctx context.Context, maxNodes, numLocs, workers int, rec obs.Recorder) (string, error) {
+// MembershipCensus counts, for every registered model, the pairs it
+// contains in the universe up to maxNodes nodes and numLocs locations,
+// as an overview table sorted by count. It is one fused pattern sweep
+// over canonical representatives (the per-model counts fall out of the
+// orbit-weighted pattern census), sharded over workers (<= 0 means
+// GOMAXPROCS), reporting progress and symmetry gauges to rec (nil =
+// off) under the run label "census". The table is identical for every
+// worker count. err is ctx's error when the sweep was cut short; the
+// table is then empty.
+func MembershipCensus(ctx context.Context, maxNodes, numLocs, workers int, rec obs.Recorder) (string, error) {
 	sweep, err := enum.PatternSweepParallel(ctx, nil, maxNodes, numLocs, workers, obs.WithRun(rec, "census"))
 	if err != nil {
 		return "", err
@@ -554,16 +461,8 @@ func mustLookup(name string) memmodel.Row {
 	return r
 }
 
-// registryModels lists the registered models in registry order.
-func registryModels() []memmodel.Model {
-	var models []memmodel.Model
-	for _, r := range memmodel.Registry() {
-		models = append(models, r.Model)
-	}
-	return models
-}
-
-// censusTable renders per-model counts, indexed in registry order.
+// censusTable renders per-model counts, indexed in registry order;
+// models with equal counts keep registry order.
 func censusTable(counts []int, total, maxNodes, numLocs int) string {
 	type row struct {
 		name  string
@@ -573,7 +472,7 @@ func censusTable(counts []int, total, maxNodes, numLocs int) string {
 	for i, name := range memmodel.ModelNames() {
 		rows[i] = row{name, counts[i]}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].count < rows[j].count })
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].count < rows[j].count })
 	var b strings.Builder
 	fmt.Fprintf(&b, "membership census over ≤%d nodes, %d location(s): %d pairs total\n", maxNodes, numLocs, total)
 	for _, r := range rows {

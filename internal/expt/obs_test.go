@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,10 +28,19 @@ func TestReportOK(t *testing.T) {
 	}
 }
 
+// TestMembershipCensusParallelMatchesSerial: the census table does not
+// depend on the worker count.
 func TestMembershipCensusParallelMatchesSerial(t *testing.T) {
-	want := MembershipCensus(3, 1)
+	want, err := MembershipCensus(context.Background(), 3, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{2, 4} {
-		if got := MembershipCensusParallel(3, 1, workers); got != want {
+		got, err := MembershipCensus(context.Background(), 3, 1, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
 			t.Fatalf("workers=%d:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}
@@ -46,33 +57,53 @@ func (l *phaseLog) Record(ev obs.Event) {
 	l.mu.Unlock()
 }
 
+// TestRunLatticeObsEmitsPhases: an observed lattice run is one
+// "pattern sweep" phase over the main universe and, at one location,
+// one "SC vs LC" phase for the auxiliary two-location sweep; each phase
+// is one sweep run (RunStart, a WorkerDone per worker, RunEnd) under
+// its own run label.
 func TestRunLatticeObsEmitsPhases(t *testing.T) {
-	log := &phaseLog{}
-	rep := RunLatticeObs(3, 1, 2, log)
-	if !rep.AllOK() {
-		t.Fatalf("lattice check failed:\n%s", rep)
-	}
-	edges := LatticeEdges()
-	var phases, starts, ends int
-	labels := map[string]bool{}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	for _, ev := range log.evs {
-		switch ev.Kind {
-		case obs.PhaseStart:
-			phases++
-			labels[ev.Str] = true
-		case obs.RunStart:
-			starts++
-			labels[ev.Run] = true
-		case obs.RunEnd:
-			ends++
+	const workers = 2
+	for _, tc := range []struct {
+		locs   int
+		phases []string // PhaseStart labels, in order
+		runs   []string // RunStart labels, in order
+	}{
+		{1, []string{"pattern sweep", "SC vs LC"}, []string{"lattice-reduced", "SC vs LC"}},
+		{2, []string{"pattern sweep"}, []string{"lattice-reduced"}},
+	} {
+		log := &phaseLog{}
+		rep := RunLatticeReduced(3, tc.locs, workers, log)
+		if !rep.AllOK() {
+			t.Fatalf("locs=%d: lattice check failed:\n%s", tc.locs, rep)
 		}
-	}
-	if phases != len(edges) || starts != len(edges) || ends != len(edges) {
-		t.Fatalf("phases/starts/ends = %d/%d/%d for %d edges", phases, starts, ends, len(edges))
-	}
-	if !labels["SC vs LC"] || !labels["NW vs WN"] {
-		t.Fatalf("edge labels: %v", labels)
+		var phases, starts []string
+		done := map[string]int{}
+		ends := 0
+		log.mu.Lock()
+		for _, ev := range log.evs {
+			switch ev.Kind {
+			case obs.PhaseStart:
+				phases = append(phases, ev.Str)
+			case obs.RunStart:
+				starts = append(starts, ev.Run)
+			case obs.WorkerDone:
+				done[ev.Run]++
+			case obs.RunEnd:
+				ends++
+			}
+		}
+		log.mu.Unlock()
+		if strings.Join(phases, "|") != strings.Join(tc.phases, "|") {
+			t.Fatalf("locs=%d: phases %q, want %q", tc.locs, phases, tc.phases)
+		}
+		if strings.Join(starts, "|") != strings.Join(tc.runs, "|") || ends != len(tc.runs) {
+			t.Fatalf("locs=%d: runs %q with %d ends, want %q", tc.locs, starts, ends, tc.runs)
+		}
+		for _, run := range tc.runs {
+			if done[run] != workers {
+				t.Fatalf("locs=%d run %q: %d WorkerDone events, want %d", tc.locs, run, done[run], workers)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -176,10 +177,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeAdmissionError(w, r, err)
 		return
 	}
+	rc := http.NewResponseController(w)
+	// Deferred in this order so the slot is released before the body
+	// is settled: a client holding its body open must not stall a
+	// draining server.
+	defer settleBody(r, rc)
 	defer release()
 
 	cfg := s.cfg.Stream
-	rc := http.NewResponseController(w)
 	// Full duplex: the handler reads events off the request body while
 	// writing records to the response. Without this, HTTP/1.1's default
 	// half-duplex discipline drains the body before flushing the
@@ -212,19 +217,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		close(readerDone)
 	}()
 	// joinReader stops the producer and waits it out. A reader that
-	// ended on its own at the end event or a clean EOF leaves a
+	// ended on its own at the end event or a clean EOF may leave a
 	// reusable connection, so its read deadline moves out to the
 	// stream's cutoff: a deadline already in the past would fail the
 	// server's own background read and cancel every later request on
 	// the keep-alive connection, and no deadline at all would let a
 	// client that holds its body open past the end event pin the
-	// server's post-handler drain of that body without bound.
-	// Otherwise the reader may sit blocked on the socket, so the read
-	// deadline is punched (and re-punched, in case the reader re-armed
-	// it in the race window) until the goroutine exits, and left in
-	// the past, so the drain of the unread body fails at once instead
-	// of waiting on the client. net.Conn deadlines are safe to set
-	// concurrently with a blocked Read.
+	// drain of that body (settleBody) without bound. Otherwise the
+	// reader may sit blocked on the socket, so the read deadline is
+	// punched (and re-punched, in case the reader re-armed it in the
+	// race window) until the goroutine exits, and left in the past, so
+	// the drain of the unread body fails at once instead of waiting on
+	// the client. net.Conn deadlines are safe to set concurrently with
+	// a blocked Read.
 	joinReader := func() {
 		select {
 		case <-readerDone:
@@ -357,6 +362,44 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	default:
 		finish(search.StopNone, nil)
 	}
+}
+
+// maxDrainBytes bounds how much of a request body settleBody reads
+// past the point where the stream stopped consuming it (net/http's own
+// post-handler drain uses the same 256 KiB tolerance).
+const maxDrainBytes = 256 << 10
+
+// settleBody leaves the connection of a finished stream either
+// reusable or closed. It runs after the final record and after the
+// admission slot is released, so neither a client that waits for that
+// record before ending its body nor a draining server is held up. A body
+// that reaches EOF within maxDrainBytes and the read deadline (the
+// stream's cutoff after a clean end, the past after a cut) leaves the
+// keep-alive connection clean for the next request. Otherwise net/http
+// would try the drain again after the handler, fail, and still keep
+// the connection: it would idle for the server's IdleTimeout, and the
+// unread rest of the body would be parsed as the next request. So the
+// handler takes the connection over, ends the chunked response as
+// net/http would have, and closes it. Only keep-alive HTTP/1.1
+// exchanges are at stake: a Connection: close request (and HTTP/1.0)
+// closes after the reply anyway, and HTTP/2 streams share no body
+// framing with the next request.
+func settleBody(r *http.Request, rc *http.ResponseController) {
+	if r.Close || r.ProtoMajor != 1 || r.ProtoMinor < 1 {
+		return
+	}
+	if _, err := io.CopyN(io.Discard, r.Body, maxDrainBytes); err == io.EOF {
+		return
+	}
+	conn, buf, err := rc.Hijack()
+	if err != nil {
+		return
+	}
+	// The connection closes either way; a failed write only leaves the
+	// client a truncated response, as the close alone would.
+	defer conn.Close()
+	buf.WriteString("0\r\n\r\n") // the last chunk, with no trailers
+	buf.Flush()
 }
 
 // stopReasonFor types a reader error: transport timeouts are the

@@ -521,3 +521,58 @@ func TestTraceStreamHeldBodyBounded(t *testing.T) {
 		t.Fatalf("server sent %d unexpected bytes after the response", n)
 	}
 }
+
+// TestTraceStreamHeldBodyClosedAtCutoff: a client that holds its
+// chunked body open after the end event gets a complete response, and
+// the server closes the connection at the stream's cutoff instead of
+// keeping it for its own (long) idle timeout, where the rest of the
+// body would be read as the next request.
+func TestTraceStreamHeldBodyClosedAtCutoff(t *testing.T) {
+	const maxAge = time.Second
+	s := New(Config{Stream: StreamConfig{MaxAge: maxAge}})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ReadHeaderTimeout = 10 * time.Second
+	ts.Config.ReadTimeout = time.Minute
+	ts.Config.IdleTimeout = 2 * time.Minute
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var events bytes.Buffer
+	if err := stream.WriteNDJSON(&events, corpusEvents(t, "mp_stale.trace")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/trace HTTP/1.1\r\nHost: ccmd\r\n"+
+		"Content-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n\r\n"+
+		"%x\r\n%s\r\n", events.Len(), events.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"type":"final"`) {
+		t.Fatalf("stream with a held body: %d %v %s", resp.StatusCode, err, body)
+	}
+
+	bound := maxAge + 500*time.Millisecond
+	conn.SetReadDeadline(start.Add(bound))
+	n, err := br.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after the request, past the %v cutoff", bound, maxAge)
+	}
+	if err == nil {
+		t.Fatalf("server sent %d unexpected bytes after the response", n)
+	}
+	if took := time.Since(start); took > bound {
+		t.Fatalf("connection dropped after %v, want within %v", took, bound)
+	}
+}
