@@ -158,7 +158,6 @@ func TestUsageErrors(t *testing.T) {
 		{"workers with star", []string{"-workers", "2", "-star", "NN"}},
 		{"workers with props", []string{"-workers", "2", "-props", "SC", "-n", "3"}},
 		{"workers with findtrap", []string{"-workers", "2", "-findtrap", "NN", "-n", "3"}},
-		{"removed -reduce flag", []string{"-n", "3", "-reduce"}},
 	} {
 		if code, out, _ := runLattice(t, tc.args...); code != 2 {
 			t.Errorf("%s: exit code = %d, want 2; output:\n%s", tc.name, code, out)
@@ -218,6 +217,22 @@ func TestTraceFlag(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("trace is empty for a 7-edge lattice check")
+	}
+}
+
+// TestReduceRejectedOnMutatingBranches: -reduce is gone (every sweep
+// is reduced), so it exits 2 as an unknown flag on every branch —
+// including -star and -findtrap, which never accepted it.
+func TestReduceRejectedOnMutatingBranches(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "3", "-reduce"},
+		{"-n", "3", "-reduce", "-census"},
+		{"-n", "3", "-reduce", "-star", "NN"},
+		{"-n", "3", "-reduce", "-findtrap", "NN"},
+	} {
+		if code, out, _ := runLattice(t, args...); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2; output:\n%s", args, code, out)
+		}
 	}
 }
 
